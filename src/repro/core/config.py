@@ -54,9 +54,6 @@ class ExtractionConfig:
     #: Rows per table in each randomized checker database.
     checker_rows_per_table: int = 24
 
-    #: Attempts allowed when searching for consistent order-by assignments.
-    orderby_attempts: int = 64
-
     #: Extract a HAVING clause using the restructured pipeline (§7).
     extract_having: bool = False
 

@@ -202,21 +202,15 @@ class ExtractionSession:
         #: executable fails at session creation with a named error, not as a
         #: dead worker mid-extraction.
         self.backend = None
-        if config.isolate == "process":
+        if config.isolate in ("process", "remote"):
             from repro.isolation.backend import ProcessIsolationBackend
 
-            self.backend = ProcessIsolationBackend(
-                executable, config, tracer=self.tracer, budget=self.budget
-            )
-        elif config.isolate == "remote":
-            from repro.isolation.backend import RemoteIsolationBackend
-
-            if not config.worker_peers:
+            if config.isolate == "remote" and not config.worker_peers:
                 raise ExtractionError(
                     "isolate='remote' requires worker_peers "
                     "(host:port worker-agent addresses)"
                 )
-            self.backend = RemoteIsolationBackend(
+            self.backend = ProcessIsolationBackend(
                 executable, config, tracer=self.tracer, budget=self.budget
             )
         elif config.isolate != "none":

@@ -3,8 +3,8 @@
 The agent is the network-facing half of remote isolation (DESIGN.md §5.18).
 It accepts TCP connections from supervisors and gives each connection its own
 locally spawned, locally supervised worker subprocess — the same
-``repro.isolation.worker`` the in-process pool uses, behind the same
-:class:`~repro.isolation.supervisor.LocalWorkerProcess` mechanics.
+``repro.isolation.worker`` the in-process pool uses, spawned through the same
+local :class:`~repro.isolation.supervisor.WorkerHandle`.
 
 Division of labour across the wire:
 
@@ -37,6 +37,7 @@ import sys
 import threading
 from typing import Optional
 
+from repro.errors import ExtractionError
 from repro.isolation.protocol import (
     ProtocolError,
     TcpTransport,
@@ -44,7 +45,12 @@ from repro.isolation.protocol import (
     parse_address,
     secret_from_env,
 )
-from repro.isolation.supervisor import _SPAWN_TIMEOUT, LocalWorkerProcess, WorkerSpec
+from repro.isolation.supervisor import (
+    HardTimeout,
+    WorkerDied,
+    WorkerHandle,
+    WorkerSpec,
+)
 
 #: protocol identity sent in the hello reply; a supervisor refuses to run
 #: against an agent speaking a different protocol generation
@@ -68,7 +74,7 @@ class _Connection:
     def __init__(self, agent: "WorkerAgent", transport: TcpTransport):
         self.agent = agent
         self.transport = transport
-        self.worker: Optional[LocalWorkerProcess] = None
+        self.worker: Optional[WorkerHandle] = None
 
     def serve(self) -> None:
         try:
@@ -139,26 +145,15 @@ class _Connection:
         if self.worker is not None:  # re-init replaces the worker
             self.worker.kill()
             self.worker = None
-        worker = None
         try:
-            worker = LocalWorkerProcess(self.agent.spec)
-            reply = worker.request(
-                {"cmd": "init", "executable": bytes(blob)},
-                _SPAWN_TIMEOUT,
-            )
-        except (TransportTimeout, EOFError, OSError) as error:
-            if worker is not None:
-                worker.kill()
+            self.worker = WorkerHandle(self.agent.spec, bytes(blob))
+        except (ExtractionError, OSError) as error:
             return self._reply(
                 {"ok": False,
                  "error": RuntimeError(f"agent failed to spawn a worker: {error}"),
                  **meta}
             )
-        if reply.get("ok"):
-            self.worker = worker
-        else:
-            worker.kill()
-        return self._reply({**reply, **meta})
+        return self._reply({"ok": True, "pid": self.worker.pid, **meta})
 
     def _handle_run(self, message: dict, meta: dict) -> bool:
         if self.worker is None or not self.worker.alive:
@@ -168,22 +163,18 @@ class _Connection:
         deadline = message.get("deadline", self.agent.spec.default_timeout
                                + self.agent.spec.kill_grace)
         try:
-            reply = self.worker.request(message, deadline)
-        except TransportTimeout:
-            # The worker blew its hard deadline: SIGKILL locally, tell the
-            # supervisor with a structured reply, end the connection (the
-            # worker — and its replica — are gone).
-            self.worker.kill()
+            reply = self.worker.run(message, deadline)
+        except HardTimeout:
+            # The worker blew its hard deadline and was SIGKILLed locally:
+            # tell the supervisor with a structured reply, end the connection
+            # (the worker — and its replica — are gone).
             self.worker = None
             self._reply({"ok": False, "hard_timeout": True, **meta})
             return False
-        except (EOFError, OSError):
-            self.worker.kill()  # reap; usually already dead
-            kind = self.worker.exit_kind()
-            returncode = self.worker.proc.returncode
+        except WorkerDied as death:
             self.worker = None
-            self._reply({"ok": False, "crashed": True, "kind": kind,
-                         "returncode": returncode, **meta})
+            self._reply({"ok": False, "crashed": True, "kind": death.kind,
+                         "returncode": death.returncode, **meta})
             return False
         return self._reply({**reply, **meta})
 

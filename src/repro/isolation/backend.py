@@ -1,8 +1,12 @@
 """The session-facing isolation backend.
 
 :class:`ProcessIsolationBackend` is what :meth:`ExtractionSession._invoke`
-delegates to under ``--isolate process``.  Its contract is *observability
-parity* with the in-process fast path: a probe that runs in a worker must be
+delegates to under ``--isolate process`` and ``--isolate remote``.  Both run
+through the one :class:`~repro.isolation.supervisor.WorkerPool`; the backend
+only picks the pool's handle factory (local subprocesses or remote worker
+agents) and the span's ``isolate`` tag from ``config.isolate``, so there is
+no second accounting path to drift.  Its contract is *observability parity*
+with the in-process fast path: a probe that runs in a worker must be
 indistinguishable to every layer above the invocation boundary —
 
 * the local executable's ``invocation_count`` / ``total_runtime`` advance
@@ -38,6 +42,7 @@ from repro.obs.trace import NULL_TRACER
 
 
 def spec_from_config(config) -> WorkerSpec:
+    """Pool policy from the config; it applies to both handle kinds."""
     return WorkerSpec(
         memory_limit_bytes=(
             config.worker_memory_limit_mb * 1024 * 1024
@@ -54,21 +59,49 @@ def spec_from_config(config) -> WorkerSpec:
     )
 
 
+def handle_factory(config):
+    """The pool's handle factory for ``config.isolate``; None means local."""
+    if config.isolate != "remote":
+        return None
+    from repro.isolation.protocol import secret_from_env
+    from repro.isolation.remote import (
+        PeerHealthRegistry,
+        RemoteHandleFactory,
+        RemoteSpec,
+    )
+
+    registry = config.peer_registry
+    if registry is not None and not isinstance(registry, PeerHealthRegistry):
+        raise TypeError("peer_registry must be a PeerHealthRegistry")
+    secret = config.transport_secret
+    spec = RemoteSpec(
+        peers=tuple(config.worker_peers),
+        connect_timeout=config.transport_connect_timeout,
+        heartbeat_interval=config.transport_heartbeat_interval,
+        backoff_base=config.transport_backoff_base,
+        backoff_max=config.transport_backoff_max,
+        max_reconnects=config.transport_max_reconnects,
+        secret=secret if secret is not None else secret_from_env(),
+    )
+    return RemoteHandleFactory(
+        spec, registry=registry, transport_factory=config.transport_factory
+    )
+
+
 class ProcessIsolationBackend:
     """Routes invocations through a :class:`WorkerPool`, with stat parity."""
-
-    #: span-tag value; the remote subclass overrides it
-    isolate_label = "process"
 
     def __init__(self, executable, config, tracer=None, budget=None):
         self.executable = executable
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.budget = budget
-        self.pool = self._build_pool(executable, config)
-
-    def _build_pool(self, executable, config):
-        return WorkerPool(
-            executable, spec_from_config(config), metrics=self.tracer.metrics
+        #: span-tag value: ``process`` or ``remote``
+        self.isolate_label = config.isolate
+        self.pool = WorkerPool(
+            executable,
+            spec_from_config(config),
+            metrics=self.tracer.metrics,
+            factory=handle_factory(config),
         )
 
     def invoke(self, db, timeout: Optional[float] = None):
@@ -202,53 +235,3 @@ class ProcessIsolationBackend:
     def close(self) -> None:
         self._mirror_injected()
         self.pool.close()
-
-
-def remote_spec_from_config(config) -> "RemoteSpec":
-    from repro.isolation.protocol import secret_from_env
-    from repro.isolation.remote import RemoteSpec
-
-    secret = getattr(config, "transport_secret", None)
-    if secret is None:
-        secret = secret_from_env()
-    return RemoteSpec(
-        peers=tuple(config.worker_peers),
-        default_timeout=config.worker_default_timeout,
-        kill_grace=config.worker_kill_grace,
-        quarantine_threshold=config.worker_quarantine_threshold,
-        max_respawns=config.worker_max_respawns,
-        pool_size=max(1, int(getattr(config, "jobs", 1) or 1)),
-        connect_timeout=config.transport_connect_timeout,
-        heartbeat_interval=config.transport_heartbeat_interval,
-        backoff_base=config.transport_backoff_base,
-        backoff_max=config.transport_backoff_max,
-        max_reconnects=config.transport_max_reconnects,
-        secret=secret,
-    )
-
-
-class RemoteIsolationBackend(ProcessIsolationBackend):
-    """The process backend's contract, served by remote worker agents.
-
-    Everything above the pool — memoization, spans, budget charging, access
-    -log mirroring, injected-fault mirroring — is inherited unchanged; only
-    the pool construction (and the span tag) differ.  That inheritance *is*
-    the observability-parity argument: there is no second accounting path to
-    drift.
-    """
-
-    isolate_label = "remote"
-
-    def _build_pool(self, executable, config):
-        from repro.isolation.remote import PeerHealthRegistry, RemoteWorkerPool
-
-        registry = config.peer_registry
-        if registry is not None and not isinstance(registry, PeerHealthRegistry):
-            raise TypeError("peer_registry must be a PeerHealthRegistry")
-        return RemoteWorkerPool(
-            executable,
-            remote_spec_from_config(config),
-            metrics=self.tracer.metrics,
-            registry=registry,
-            transport_factory=config.transport_factory,
-        )

@@ -1,10 +1,11 @@
-"""Supervisor side of remote isolation: leases, fencing, failure detection.
+"""Remote handles: leases, fencing, failure detection over TCP.
 
-A :class:`RemoteWorkerPool` is the network twin of
-:class:`~repro.isolation.supervisor.WorkerPool`: same slot leasing, same
-ledger, same crash taxonomy and quarantine policy — but each slot is a
-:class:`RemoteWorkerHandle`, a TCP connection to a worker agent
-(:mod:`repro.isolation.agent`) instead of a subprocess pipe pair.
+A :class:`RemoteWorkerHandle` is the TCP kind of worker handle leased by the
+one :class:`~repro.isolation.supervisor.WorkerPool`: a connection to a worker
+agent (:mod:`repro.isolation.agent`) instead of a subprocess pipe pair.  The
+pool's ledger, crash taxonomy, quarantine policy and delta shipping are the
+same for both kinds; :class:`RemoteHandleFactory` switches on the policy that
+only a network needs and only remote handles use.
 
 The exactly-once contract over a lossy wire (DESIGN.md §5.18) rests on three
 mechanisms:
@@ -26,7 +27,7 @@ mechanisms:
   slot fails over to the next healthy peer (the requeue path), and only when
   *every* peer is down does the pool flip into a sticky
   :class:`~repro.errors.PeerQuarantined` — the transport analogue of the
-  local pool's respawn-budget quarantine.
+  respawn-budget quarantine.
 
 Invocation side effects are idempotent by construction (a probe reply is a
 pure function of the shipped replica), so at-most-once delivery per lease +
@@ -37,26 +38,14 @@ made it home.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.errors import (
-    ExecutableTimeoutError,
-    ExtractionError,
-    PeerQuarantined,
-    PeerUnavailable,
-    WorkerCrashedError,
-)
-from repro.isolation.protocol import (
-    ProtocolError,
-    TcpTransport,
-    TransportTimeout,
-    pack_executable,
-)
-from repro.isolation.supervisor import _SPAWN_TIMEOUT, PoolStats
+from repro.errors import ExtractionError, PeerQuarantined, PeerUnavailable
+from repro.isolation.protocol import ProtocolError, TcpTransport, TransportTimeout
+from repro.isolation.supervisor import _SPAWN_TIMEOUT, HardTimeout, WorkerDied
 
 #: transport exceptions that mean "this connection is no longer usable"
 _CONNECTION_ERRORS = (EOFError, ProtocolError, ConnectionError, OSError)
@@ -64,30 +53,19 @@ _CONNECTION_ERRORS = (EOFError, ProtocolError, ConnectionError, OSError)
 
 @dataclass(frozen=True)
 class RemoteSpec:
-    """Remote-pool policy, lifted from the extraction config."""
+    """Transport policy for remote handles, lifted from the extraction config.
+
+    Pool policy (deadlines, kill grace, quarantine threshold, respawn budget,
+    pool size) lives in :class:`~repro.isolation.supervisor.WorkerSpec` and
+    applies to both handle kinds; a worker replacement is a reconnect here.
+    """
 
     #: ``host:port`` worker-agent addresses; slots round-robin across them
     peers: tuple = ()
-    #: hard deadline when the caller passed no cooperative timeout, seconds
-    default_timeout: float = 30.0
-    #: slack past the cooperative timeout before the *agent* SIGKILLs
-    kill_grace: float = 1.0
-    #: consecutive abnormal worker exits before quarantine (crash streaks
-    #: count across peers — the executable is the common factor)
-    quarantine_threshold: int = 4
-    #: total worker replacements (reconnects) allowed over the pool lifetime
-    max_respawns: int = 128
-    #: number of concurrently leased connections (sized to ``--jobs``)
-    pool_size: int = 1
     #: TCP connect + hello deadline per dial attempt
     connect_timeout: float = 5.0
     #: idle-handle heartbeat period, seconds
     heartbeat_interval: float = 0.5
-    #: failure-detector timeout = rtt_mean + k * rtt_dev, clamped to
-    #: [detector_floor, detector_ceiling]
-    detector_k: float = 4.0
-    detector_floor: float = 0.25
-    detector_ceiling: float = 10.0
     #: reconnect backoff: base * 2^failures, capped
     backoff_base: float = 0.05
     backoff_max: float = 2.0
@@ -115,8 +93,13 @@ class FailureDetector:
     atomic so interleaved ``observe`` calls cannot tear the mean/dev pair.
     """
 
-    def __init__(self, k: float = 4.0, floor: float = 0.25,
-                 ceiling: float = 10.0, alpha: float = 0.25):
+    #: timeout = rtt_mean + K * rtt_dev, clamped to [FLOOR, CEILING] seconds
+    K = 4.0
+    FLOOR = 0.25
+    CEILING = 10.0
+
+    def __init__(self, k: float = K, floor: float = FLOOR,
+                 ceiling: float = CEILING, alpha: float = 0.25):
         self.k = k
         self.floor = floor
         self.ceiling = ceiling
@@ -255,19 +238,20 @@ class PeerHealthRegistry:
 class RemoteWorkerHandle:
     """One leased connection to a worker agent, plus its lease state.
 
-    All request/response access happens under :attr:`lock` — the invoking
-    scheduler thread holds it for the whole invocation, the pool's heartbeat
-    thread only pings when it can take it uncontended, so frames on one
-    transport are never interleaved.
+    Unlike a local handle, a remote handle outlives its connections: the
+    factory reconnects it in place, so its epoch keeps rising across
+    reconnects.  All request/response access happens under :attr:`lock`
+    (the pool's slot lock) — the invoking scheduler thread holds it for the
+    whole invocation, the heartbeat thread only pings when it can take it
+    uncontended, so frames on one transport are never interleaved.
     """
 
-    def __init__(self, address: str, spec: RemoteSpec,
-                 transport_factory: Callable, detector: FailureDetector):
+    def __init__(self, address: str, factory: "RemoteHandleFactory",
+                 lock: threading.Lock):
         self.address = address
-        self.spec = spec
-        self.transport_factory = transport_factory
-        self.detector = detector
-        self.lock = threading.Lock()
+        self.factory = factory
+        self.detector = factory.detectors[address]
+        self.lock = lock
         self.transport: Optional[TcpTransport] = None
         #: lease generation: bumped on every reconnect and every abandoned
         #: request, so a stale reply's tokens can never match
@@ -292,10 +276,65 @@ class RemoteWorkerHandle:
         self.last_hello_rtt: Optional[float] = None
 
     @property
-    def connected(self) -> bool:
+    def alive(self) -> bool:
         return self.transport is not None and self.transport.alive
 
     # -- lease-fenced request/response --------------------------------------
+
+    def run(self, message: dict, deadline_seconds: float) -> dict:
+        """One fenced ``run`` round-trip, failures mapped to pool outcomes.
+
+        The agent arms its local SIGKILL clock with ``deadline_seconds``; the
+        supervisor waits that long plus the failure detector's network
+        allowance.  Raises :class:`~repro.errors.PeerUnavailable` on a
+        partition or torn connection — the lease is fenced *before* this
+        raises, so the retried invocation can never be double-counted.
+        """
+        factory = self.factory
+        message["deadline"] = deadline_seconds
+        try:
+            reply = self.request(
+                message, deadline_seconds + self.detector.timeout()
+            )
+        except TransportTimeout:
+            # Partition or straggler: fence the lease, keep the connection
+            # for the late-reply path, requeue via retry.
+            self.abandon()
+            factory.registry.note_suspect(self.address)
+            factory.pool.count("transport_partitions_total")
+            raise PeerUnavailable(
+                self.address,
+                f"no reply within {deadline_seconds:.3f}s"
+                " + network allowance (partition suspected)",
+                ordinal=message["ordinal"],
+            ) from None
+        except _CONNECTION_ERRORS as error:
+            self.mark_dead()
+            factory.registry.note_suspect(self.address)
+            raise PeerUnavailable(
+                self.address,
+                f"connection failed mid-invocation: {error}",
+                ordinal=message["ordinal"],
+            ) from None
+        finally:
+            factory.drain_counters(self)
+        if reply.get("hard_timeout"):
+            # The agent SIGKILLed its worker and closed up shop.
+            self.mark_dead()
+            raise HardTimeout()
+        if reply.get("crashed"):
+            self.mark_dead()
+            raise WorkerDied(
+                reply.get("kind", "unknown"),
+                f"remote worker on {self.address} died with status "
+                f"{reply.get('returncode')}",
+                reply.get("returncode"),
+            )
+        # a fenced run reply is liveness evidence as good as a pong: keep the
+        # peer's heartbeat age fresh through busy stretches where the idle
+        # ping loop can never take the lock
+        factory.registry.note_heartbeat(self.address, self.detector.rtt_mean or 0.0)
+        return reply
 
     def request(self, message: dict, deadline_seconds: float) -> dict:
         """Send one fenced request and wait for *its* reply.
@@ -359,15 +398,16 @@ class RemoteWorkerHandle:
 
         Raises any of :data:`_CONNECTION_ERRORS` /
         :class:`~repro.isolation.protocol.TransportTimeout` on failure; the
-        pool's reconnect loop translates those into backoff + failover.
+        factory's reconnect loop translates those into backoff + failover.
         """
         self.mark_dead()
-        transport = self.transport_factory(self.address, self.spec.connect_timeout)
+        spec = self.factory.spec
+        transport = self.factory.dial(self.address, spec.connect_timeout)
         try:
             self.transport = transport
             started = time.perf_counter()
             hello = self.request({"cmd": "hello"},
-                                 max(self.spec.connect_timeout,
+                                 max(spec.connect_timeout,
                                      self.detector.timeout()))
             if not hello.get("hello"):
                 raise ProtocolError(f"bad hello reply: {hello!r}")
@@ -393,7 +433,7 @@ class RemoteWorkerHandle:
         self.has_connected = True
         self.shipped = {}
 
-    def close(self) -> None:
+    def shutdown(self) -> None:
         if self.transport is not None:
             try:
                 self.transport.send({"cmd": "shutdown",
@@ -416,220 +456,64 @@ class RemoteWorkerHandle:
         return fenced, duplicates
 
 
-class RemoteWorkerPool:
-    """Slot-leased pool of remote worker connections for one executable.
+class RemoteHandleFactory:
+    """Handle factory for ``--isolate remote``: one agent connection per slot.
 
-    Public surface mirrors :class:`~repro.isolation.supervisor.WorkerPool`
-    (``invoke`` / ``stats`` / ``ordinal`` / ``respawns`` /
-    ``quarantine_error`` / ``injected_totals`` / ``health`` / ``close``), so
-    :class:`~repro.isolation.backend.RemoteIsolationBackend` is a thin
-    subclass of the process backend.
+    Owns the policy only a network needs: per-peer failure detectors, the
+    shared :class:`PeerHealthRegistry`, capped-backoff reconnect with peer
+    failover, and the idle-handle heartbeat thread.  Reconnects are the
+    remote kind's respawns and are charged to the pool's respawn budget.
     """
 
-    def __init__(self, executable, spec: RemoteSpec, metrics=None,
+    def __init__(self, spec: RemoteSpec,
                  registry: Optional[PeerHealthRegistry] = None,
                  transport_factory: Optional[Callable] = None):
         if not spec.peers:
             raise ExtractionError("remote isolation requires at least one peer")
         self.spec = spec
-        self.metrics = metrics
         self.registry = registry if registry is not None else PeerHealthRegistry(
             spec.peers
         )
-        factory = transport_factory
-        if factory is None:
-            factory = lambda address, timeout: TcpTransport.connect(  # noqa: E731
+        self.dial = transport_factory or (
+            lambda address, timeout: TcpTransport.connect(
                 address, timeout=timeout, secret=spec.secret
             )
-        self.executable_blob = pack_executable(executable)
-        self.stats = PoolStats()
-        self.ordinal = 0
-        self.consecutive_abnormal = 0
-        self.respawns = 0
-        self.quarantine_error: Optional[PeerQuarantined] = None
-        self.injected_base: dict = {}
+        )
+        #: one detector per peer: every connection to a peer shares its link
+        self.detectors = {address: FailureDetector() for address in spec.peers}
         #: peers declared down after a spent reconnect budget
         self._peer_down: dict = {address: False for address in spec.peers}
-        self._detectors = {
-            address: FailureDetector(
-                k=spec.detector_k, floor=spec.detector_floor,
-                ceiling=spec.detector_ceiling,
-            )
-            for address in spec.peers
-        }
-        size = max(1, spec.pool_size)
-        self._handles = [
-            RemoteWorkerHandle(
-                spec.peers[slot % len(spec.peers)], spec, factory,
-                self._detectors[spec.peers[slot % len(spec.peers)]],
-            )
-            for slot in range(size)
-        ]
-        self._slots: queue.Queue = queue.Queue()
-        for slot in range(size):
-            self._slots.put(slot)
-        self._lock = threading.Lock()
-        self.closed = False
         self._heartbeat_stop = threading.Event()
+        self._heartbeat_thread: Optional[threading.Thread] = None
+
+    def attach(self, pool) -> None:
+        """Give every slot of ``pool`` its handle and start the heartbeat."""
+        self.pool = pool
+        peers = self.spec.peers
+        self.handles = [
+            RemoteWorkerHandle(peers[slot % len(peers)], self, lock)
+            for slot, lock in enumerate(pool.slot_locks)
+        ]
+        pool._handles[:] = self.handles
         self._heartbeat_thread = threading.Thread(
             target=self._heartbeat_loop, name="remote-heartbeat", daemon=True
         )
         self._heartbeat_thread.start()
 
-    # -- public API ----------------------------------------------------------
-
-    def invoke(self, db, timeout: Optional[float],
-               trace_access: bool = False) -> dict:
-        """Run one invocation on a remote worker; returns the reply dict.
-
-        Raises :class:`~repro.errors.ExecutableTimeoutError` on an
-        agent-enforced hard-deadline kill,
-        :class:`~repro.errors.WorkerCrashedError` on a remote worker crash,
-        :class:`~repro.errors.PeerUnavailable` (retryable) on a partition or
-        torn connection — the lease is fenced *before* this raises, so the
-        retried invocation can never be double-counted — and
-        :class:`~repro.errors.PeerQuarantined` once every peer is down.
-        """
-        with self._lock:
-            if self.closed:
-                raise ExtractionError("remote worker pool is closed")
-            if self.quarantine_error is not None:
-                raise self.quarantine_error
-        slot = self._slots.get()
-        try:
-            handle = self._handles[slot]
-            with handle.lock:
-                self._ensure_connected(handle)
-                with self._lock:
-                    self.ordinal += 1
-                    ordinal = self.ordinal
-                    self.stats.invocations += 1
-                effective = (
-                    timeout if timeout is not None else self.spec.default_timeout
-                )
-                # _deltas commits to handle.shipped as it builds the message,
-                # but a dropped/partitioned frame leaves the worker's replica
-                # behind that ledger.  Deltas are idempotent full-table
-                # replacements, so on any failed request we roll shipped back
-                # to this snapshot: the retry re-ships the same tables whether
-                # or not the worker applied them the first time.
-                shipped_before = dict(handle.shipped)
-                message = {
-                    "cmd": "run",
-                    "ordinal": ordinal,
-                    "timeout": timeout,
-                    "trace_access": trace_access,
-                    "deltas": self._deltas(handle, db),
-                    "dropped": self._dropped(handle, db),
-                    # the agent arms the local SIGKILL clock with this
-                    "deadline": effective + self.spec.kill_grace,
-                }
-                try:
-                    reply = handle.request(
-                        message,
-                        effective + self.spec.kill_grace
-                        + handle.detector.timeout(),
-                    )
-                except TransportTimeout:
-                    # Partition or straggler: fence the lease, keep the
-                    # connection for the late-reply path, requeue via retry.
-                    handle.shipped = shipped_before
-                    handle.abandon()
-                    self.registry.note_suspect(handle.address)
-                    with self._lock:
-                        self._count("transport_partitions_total")
-                    self._drain_counters(handle)
-                    raise PeerUnavailable(
-                        handle.address,
-                        f"no reply within {effective + self.spec.kill_grace:.3f}s"
-                        " + network allowance (partition suspected)",
-                        ordinal=ordinal,
-                    ) from None
-                except _CONNECTION_ERRORS as error:
-                    handle.mark_dead()
-                    self.registry.note_suspect(handle.address)
-                    self._drain_counters(handle)
-                    raise PeerUnavailable(
-                        handle.address,
-                        f"connection failed mid-invocation: {error}",
-                        ordinal=ordinal,
-                    ) from None
-                self._drain_counters(handle)
-                if reply.get("hard_timeout"):
-                    # The agent SIGKILLed its worker and closed up shop.
-                    handle.mark_dead()
-                    with self._lock:
-                        self.stats.kills += 1
-                        self._count("worker_kills_total")
-                        self._note_abnormal(handle)
-                    raise ExecutableTimeoutError(
-                        f"isolated invocation {ordinal} exceeded its "
-                        f"{effective:.3f}s hard deadline and was killed"
-                    )
-                if reply.get("crashed"):
-                    handle.mark_dead()
-                    kind = reply.get("kind", "unknown")
-                    with self._lock:
-                        self.stats.crashes += 1
-                        self._count("worker_crashes_total")
-                        self._note_abnormal(handle)
-                    raise WorkerCrashedError(
-                        kind,
-                        f"remote worker on {handle.address} died with status "
-                        f"{reply.get('returncode')}",
-                        ordinal=ordinal,
-                    )
-                with self._lock:
-                    self.consecutive_abnormal = 0
-                    self._record_reply_stats(handle, reply)
-                # a fenced run reply is liveness evidence as good as a pong:
-                # keep the peer's heartbeat age fresh through busy stretches
-                # where the idle ping loop can never take the lock
-                self.registry.note_heartbeat(
-                    handle.address, handle.detector.rtt_mean or 0.0
-                )
-                return reply
-        finally:
-            self._slots.put(slot)
+    def quarantined(self, reason: str, crashes: int, respawns: int):
+        return PeerQuarantined(reason, crashes, respawns, peers=self.spec.peers)
 
     def health(self) -> dict:
-        """Pool + per-peer health for breakers and the serve /status view."""
-        with self._lock:
-            view = {
-                "invocations": self.stats.invocations,
-                "crashes": self.stats.crashes,
-                "kills": self.stats.kills,
-                "restarts": self.stats.restarts,
-                "consecutive_abnormal": self.consecutive_abnormal,
-                "respawns": self.respawns,
-                "respawn_budget": self.spec.max_respawns,
-                "quarantined": self.quarantine_error is not None,
-            }
-        view["peers"] = self.registry.snapshot()
-        return view
-
-    def injected_totals(self) -> dict:
-        totals = dict(self.injected_base)
-        for handle in self._handles:
-            for key, value in handle.last_injected.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return {"peers": self.registry.snapshot()}
 
     def close(self) -> None:
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
         self._heartbeat_stop.set()
-        self._heartbeat_thread.join(timeout=2)
-        for handle in self._handles:
-            with handle.lock:
-                self._absorb_injected(handle)
-                handle.close()
+        if self._heartbeat_thread is not None:
+            self._heartbeat_thread.join(timeout=2)
 
     # -- connection management ----------------------------------------------
 
-    def _ensure_connected(self, handle: RemoteWorkerHandle) -> None:
+    def ready(self, handle: RemoteWorkerHandle) -> RemoteWorkerHandle:
         """Leave the handle with a live, trusted connection (or raise).
 
         Caller holds ``handle.lock``.  A suspect connection is probed with a
@@ -637,7 +521,7 @@ class RemoteWorkerPool:
         probe's reader drains any fenced late replies, which is the
         partition-then-late-reply recovery path).
         """
-        if handle.connected and handle.suspect:
+        if handle.alive and handle.suspect:
             try:
                 handle.ping()
                 handle.suspect = False
@@ -646,9 +530,9 @@ class RemoteWorkerPool:
             except (TransportTimeout, *_CONNECTION_ERRORS):
                 handle.mark_dead()
             finally:
-                self._drain_counters(handle)
-        if handle.connected:
-            return
+                self.drain_counters(handle)
+        if handle.alive:
+            return handle
         while True:
             if self._peer_down.get(handle.address, False):
                 self._failover(handle)
@@ -663,16 +547,11 @@ class RemoteWorkerPool:
             # when sibling slots have already run invocations
             is_reconnect = handle.has_connected
             if is_reconnect:
-                with self._lock:
-                    if self.respawns >= self.spec.max_respawns:
-                        self._quarantine("respawn budget spent")
-                    self.respawns += 1
-                    self.stats.restarts += 1
-                    self._count("worker_restarts_total")
-                    self._count("transport_reconnects_total")
+                self.pool.charge_respawn()
+                self.pool.count("transport_reconnects_total")
             try:
-                handle.connect(self.executable_blob)
-            except (TransportTimeout, *_CONNECTION_ERRORS) as error:
+                handle.connect(self.pool.executable_blob)
+            except (TransportTimeout, *_CONNECTION_ERRORS):
                 handle.reconnect_failures += 1
                 self.registry.note_suspect(handle.address)
                 if handle.reconnect_failures >= self.spec.max_reconnects:
@@ -687,137 +566,60 @@ class RemoteWorkerPool:
                 # idle ping loop may never win the lock, so record it here
                 self.registry.note_heartbeat(handle.address,
                                              handle.last_hello_rtt)
-                with self._lock:
-                    if self.metrics is not None:
-                        self.metrics.histogram(
-                            "heartbeat_rtt_seconds"
-                        ).observe(handle.last_hello_rtt)
-            return
+                self.pool.observe("heartbeat_rtt_seconds", handle.last_hello_rtt)
+            return handle
 
     def _failover(self, handle: RemoteWorkerHandle) -> None:
         """Re-point a handle at the next healthy peer; caller holds its lock."""
-        alive = [a for a in self.spec.peers if not self._peer_down.get(a)]
-        if not alive:
-            with self._lock:
-                self._quarantine("every peer is unreachable")
-        start = self.spec.peers.index(handle.address)
-        ordered = [
-            self.spec.peers[(start + offset) % len(self.spec.peers)]
-            for offset in range(1, len(self.spec.peers) + 1)
-        ]
+        peers = self.spec.peers
+        if all(self._peer_down.get(a) for a in peers):
+            self.pool.quarantine("every peer is unreachable")
+        start = peers.index(handle.address)
+        ordered = [peers[(start + offset) % len(peers)]
+                   for offset in range(1, len(peers) + 1)]
         target = next(a for a in ordered if not self._peer_down.get(a))
         handle.address = target
-        handle.detector = self._detectors[target]
+        handle.detector = self.detectors[target]
         handle.reconnect_failures = 0
 
     def _declare_peer_down(self, address: str) -> None:
         self._peer_down[address] = True
         self.registry.note_quarantine(address)
-        with self._lock:
-            self._count("peer_quarantines_total", labels={"peer": address})
+        self.pool.count("peer_quarantines_total", labels={"peer": address})
+
+    def drain_counters(self, handle: RemoteWorkerHandle) -> None:
+        """Fold the handle's fencing/dedup tallies into metrics + registry."""
+        fenced, duplicates = handle.drain_transport_counters()
+        if fenced:
+            self.registry.note_fenced(handle.address, fenced)
+            self.pool.count("fenced_replies_total", fenced)
+        if duplicates:
+            self.registry.note_duplicates(handle.address, duplicates)
+            self.pool.count("transport_duplicates_dropped_total", duplicates)
 
     def _heartbeat_loop(self) -> None:
         while not self._heartbeat_stop.wait(self.spec.heartbeat_interval):
-            for handle in self._handles:
+            for handle in self.handles:
                 if self._heartbeat_stop.is_set():
                     return
                 if not handle.lock.acquire(blocking=False):
                     continue  # an invocation owns the connection; it IS the probe
                 try:
-                    if not handle.connected or handle.suspect:
+                    if not handle.alive or handle.suspect:
                         continue
                     try:
                         rtt = handle.ping()
                     except TransportTimeout:
                         handle.abandon()  # fences the lost pong
                         self.registry.note_suspect(handle.address)
-                        with self._lock:
-                            self._count("heartbeat_timeouts_total")
+                        self.pool.count("heartbeat_timeouts_total")
                         continue
                     except _CONNECTION_ERRORS:
                         handle.mark_dead()
                         self.registry.note_suspect(handle.address)
                         continue
                     self.registry.note_heartbeat(handle.address, rtt)
-                    with self._lock:
-                        if self.metrics is not None:
-                            self.metrics.histogram(
-                                "heartbeat_rtt_seconds"
-                            ).observe(rtt)
+                    self.pool.observe("heartbeat_rtt_seconds", rtt)
                 finally:
-                    self._drain_counters(handle)
+                    self.drain_counters(handle)
                     handle.lock.release()
-
-    # -- ledger internals (mirrors WorkerPool) -------------------------------
-
-    def _note_abnormal(self, handle: RemoteWorkerHandle) -> None:
-        """Record an abnormal worker exit; caller holds the pool lock."""
-        self._absorb_injected(handle)
-        self.consecutive_abnormal += 1
-        if self.consecutive_abnormal >= self.spec.quarantine_threshold:
-            self._quarantine(
-                f"{self.consecutive_abnormal} consecutive abnormal worker exits"
-            )
-
-    def _quarantine(self, reason: str):
-        """Flip the sticky quarantine; caller holds the pool lock."""
-        self.quarantine_error = PeerQuarantined(
-            reason, self.consecutive_abnormal, self.respawns,
-            peers=self.spec.peers,
-        )
-        self._count("worker_quarantines_total")
-        raise self.quarantine_error
-
-    def _absorb_injected(self, handle: RemoteWorkerHandle) -> None:
-        for key, value in handle.last_injected.items():
-            self.injected_base[key] = self.injected_base.get(key, 0) + value
-        handle.last_injected = {}
-
-    def _record_reply_stats(self, handle: RemoteWorkerHandle, reply: dict) -> None:
-        stats = reply.get("stats") or {}
-        rss = int(stats.get("maxrss_bytes", 0))
-        if rss > self.stats.rss_peak_bytes:
-            self.stats.rss_peak_bytes = rss
-            if self.metrics is not None:
-                self.metrics.gauge("worker_rss_peak_bytes").set(rss)
-        if "injected" in stats:
-            handle.last_injected = dict(stats["injected"])
-
-    def _drain_counters(self, handle: RemoteWorkerHandle) -> None:
-        """Fold the handle's fencing/dedup tallies into metrics + registry."""
-        fenced, duplicates = handle.drain_transport_counters()
-        if fenced:
-            self.registry.note_fenced(handle.address, fenced)
-        if duplicates:
-            self.registry.note_duplicates(handle.address, duplicates)
-        if self.metrics is not None and (fenced or duplicates):
-            with self._lock:
-                if fenced:
-                    self.metrics.counter("fenced_replies_total").inc(fenced)
-                if duplicates:
-                    self.metrics.counter(
-                        "transport_duplicates_dropped_total"
-                    ).inc(duplicates)
-
-    def _count(self, name: str, labels: Optional[dict] = None) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, labels=labels).inc()
-
-    # -- incremental state shipping (identical contract to WorkerPool) -------
-
-    def _deltas(self, handle: RemoteWorkerHandle, db) -> dict:
-        deltas = {}
-        for name, schema, rows in db.table_states():
-            prev = handle.shipped.get(name)
-            if prev is not None and prev[0] == schema and prev[1] is rows:
-                continue
-            handle.shipped[name] = (schema, rows)
-            deltas[name] = {"schema": schema, "rows": rows}
-        return deltas
-
-    def _dropped(self, handle: RemoteWorkerHandle, db) -> list:
-        live = {name for name, _, _ in db.table_states()}
-        dropped = [name for name in handle.shipped if name not in live]
-        for name in dropped:
-            del handle.shipped[name]
-        return dropped

@@ -1,31 +1,48 @@
-"""Supervisor side of the worker pool: spawn, ship, deadline, kill, classify.
+"""The worker pool: one ledger over local-subprocess and TCP-agent handles.
 
-The supervisor is the trusted half of the invocation boundary.  It owns
+A :class:`WorkerPool` leases slots to *handles*, built and revived by a
+*handle factory*.  There are two handle kinds with the same small
+run/shutdown/alive surface:
+
+* :class:`WorkerHandle` (this module, the default) — one local worker
+  subprocess behind a :class:`~repro.isolation.protocol.PipeTransport`;
+* :class:`~repro.isolation.remote.RemoteWorkerHandle` — one lease-fenced
+  connection to a worker agent over
+  :class:`~repro.isolation.protocol.TcpTransport`.
+
+Each handle turns its own failures into the pool's few outcomes — a reply,
+:class:`HardTimeout`, :class:`WorkerDied` with a crash kind, or (remote only)
+a retryable :class:`~repro.errors.PeerUnavailable` — and the pool owns
+everything else:
 
 * the **wall clock** — every request has a hard deadline; a worker that has
-  not replied by then is SIGKILLed, which is the only preemption that works
-  against a busy-looping application (cooperative engine deadlines never
-  fire inside ``while True: pass``);
-* the **ledger** — invocations, rows scanned, RSS peaks, crash/restart/kill
-  counts are all recorded here exactly once, whatever happened to the worker;
+  not replied by then is SIGKILLed (by the supervisor locally, by the agent
+  remotely), which is the only preemption that works against a busy-looping
+  application (cooperative engine deadlines never fire inside
+  ``while True: pass``);
+* the **ledger** — invocations, RSS peaks, crash/restart/kill counts are
+  all recorded here exactly once, whatever happened to the worker;
 * the **crash taxonomy** — abnormal exits are classified by wait status
   (SIGSEGV/SIGBUS → ``segfault``, SIGABRT → ``abort``, the memory-cap exit
-  status or an OOM-killer SIGKILL → ``oom``, a supervisor-initiated SIGKILL →
-  hard timeout) and folded into the retryable-vs-fatal scheme of
+  status or an OOM-killer SIGKILL → ``oom``, a deadline SIGKILL → hard
+  timeout) and folded into the retryable-vs-fatal scheme of
   :mod:`repro.resilience.retry`: crashes are transient (respawn + retry),
   hard timeouts are :class:`~repro.errors.ExecutableTimeoutError` with the
   exact semantics the From-clause extractor already relies on;
 * the **quarantine policy** — K consecutive abnormal exits, or a spent
   respawn budget, flips the pool into a sticky
-  :class:`~repro.errors.WorkerQuarantined` state: an executable that kills
-  every process it touches gets a structured refusal, not an infinite
-  respawn loop.
+  :class:`~repro.errors.WorkerQuarantined` state (the factory picks the
+  subclass): an executable that kills every process it touches gets a
+  structured refusal, not an infinite respawn loop.  A respawn is charged
+  per handle: only a slot's *second* and later worker counts as a restart.
 
 State shipping is incremental: each handle remembers the exact row-list
 object last shipped per table (copy-on-write row lists are rebound on every
 mutation, so object identity is a sound change detector — and the held
-reference pins the id against reuse).  A fresh worker starts with an empty
-ship-state and receives the full silo on its first run.
+reference pins the id against reuse).  The ledger is committed only once the
+worker answers, so a request lost on the wire re-ships the same tables on
+retry.  A fresh worker starts with an empty ship-state and receives the
+full silo on its first run.
 """
 
 from __future__ import annotations
@@ -80,31 +97,35 @@ class WorkerSpec:
     quarantine_threshold: int = 4
     #: total respawns allowed over the pool's lifetime
     max_respawns: int = 128
-    #: number of worker processes; sized to ``--jobs`` so the probe
-    #: scheduler's threads each lease their own worker (slot leasing makes
-    #: concurrent invocations safe at any pool size — excess callers queue)
+    #: number of leased slots; sized to ``--jobs`` so the probe scheduler's
+    #: threads each lease their own worker (slot leasing makes concurrent
+    #: invocations safe at any pool size — excess callers queue)
     pool_size: int = 1
 
 
-class _HardTimeout(Exception):
-    """Internal sentinel: the response deadline expired (worker still alive)."""
+class HardTimeout(Exception):
+    """A handle's worker blew its hard deadline and was SIGKILLed."""
 
 
-class _WorkerDied(Exception):
-    """Internal sentinel: the pipe closed before a full reply arrived."""
+class WorkerDied(Exception):
+    """A handle's worker exited abnormally before replying."""
+
+    def __init__(self, kind: str, detail: str, returncode: Optional[int] = None):
+        super().__init__(detail)
+        self.kind = kind
+        self.returncode = returncode
 
 
-class LocalWorkerProcess:
-    """One spawned worker subprocess behind a :class:`PipeTransport`.
+class WorkerHandle:
+    """One local worker subprocess behind a :class:`PipeTransport`.
 
-    The spawn/kill/classify mechanics, shared by the in-process
-    :class:`WorkerHandle` and the remote :mod:`repro.isolation.agent` (which
-    supervises a local worker on behalf of a network supervisor).  Exposes
-    the raw protocol exceptions (:class:`TransportTimeout` / ``EOFError``);
-    callers map them into their own crash handling.
+    Constructing a handle spawns the process and completes the init
+    handshake.  The in-process pool and the remote
+    :mod:`repro.isolation.agent` (which supervises a local worker on behalf
+    of a network supervisor) both spawn through here.
     """
 
-    def __init__(self, spec: WorkerSpec):
+    def __init__(self, spec: WorkerSpec, executable_blob: bytes):
         command = [sys.executable, "-m", "repro.isolation.worker"]
         if spec.memory_limit_bytes:
             command += ["--memory-limit-bytes", str(spec.memory_limit_bytes)]
@@ -128,78 +149,13 @@ class LocalWorkerProcess:
             env=env,
         )
         self.transport = PipeTransport(self.proc.stdin, self.proc.stdout.fileno())
-
-    @property
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def request(self, message: dict, deadline_seconds: Optional[float]) -> dict:
-        """Send one frame and read the reply under a hard deadline.
-
-        Raises :class:`TransportTimeout` when the deadline expires and
-        ``EOFError``/``OSError`` when the worker's pipe closes mid-reply.
-        """
-        self.transport.send(message)
-        return self.transport.recv(deadline_seconds)
-
-    def kill(self) -> None:
-        """SIGKILL and reap; idempotent."""
-        if self.proc.poll() is None:
-            try:
-                self.proc.kill()
-            except OSError:
-                pass
-        try:
-            self.proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - kernel refusal
-            pass
-        self._close_pipes()
-
-    def shutdown(self) -> None:
-        """Polite exit, escalating to SIGKILL."""
-        if self.proc.poll() is None:
-            try:
-                write_frame(self.proc.stdin, {"cmd": "shutdown"})
-                self.proc.stdin.close()
-                self.proc.wait(timeout=2)
-            except Exception:
-                pass
-        self.kill()
-
-    def _close_pipes(self) -> None:
-        for pipe in (self.proc.stdin, self.proc.stdout):
-            try:
-                if pipe is not None:
-                    pipe.close()
-            except OSError:
-                pass
-
-    def exit_kind(self) -> str:
-        """Classify a dead worker's wait status into the crash taxonomy."""
-        code = self.proc.returncode
-        if code is None:  # pragma: no cover - callers reap first
-            return "unknown"
-        if code < 0:
-            return _SIGNAL_KINDS.get(-code, f"signal-{-code}")
-        if code == EXIT_MEMORY:
-            return "oom"
-        return f"exit-{code}"
-
-
-class WorkerHandle:
-    """One supervised worker process plus its incremental ship-state."""
-
-    def __init__(self, spec: WorkerSpec, executable_blob: bytes):
-        self._process = LocalWorkerProcess(spec)
-        self.proc = self._process.proc
         #: table → (schema, shipped row-list reference); holding the list
         #: object both detects changes (identity) and pins its id
         self.shipped: dict[str, tuple] = {}
         self.last_injected: dict[str, int] = {}
         try:
-            reply = self._process.request(
-                {"cmd": "init", "executable": executable_blob}, _SPAWN_TIMEOUT
-            )
+            self.transport.send({"cmd": "init", "executable": executable_blob})
+            reply = self.transport.recv(_SPAWN_TIMEOUT)
         except TransportTimeout:
             self.kill()
             raise ExtractionError(
@@ -218,37 +174,94 @@ class WorkerHandle:
 
     @property
     def alive(self) -> bool:
-        return self._process.alive
+        return self.proc.poll() is None
 
-    # -- request/response ---------------------------------------------------
+    def run(self, message: dict, deadline_seconds: float) -> dict:
+        """Send one request and read its reply under a hard deadline.
 
-    def request(self, message: dict, deadline_seconds: float) -> dict:
-        """Send one frame and read the reply under a hard deadline.
-
-        Raises :class:`_HardTimeout` when the deadline expires and
-        :class:`_WorkerDied` when the worker's pipe closes mid-reply; the
-        pool turns those into kills/classified crashes.
+        Raises :class:`HardTimeout` (worker SIGKILLed) when the deadline
+        expires and :class:`WorkerDied` when the pipe closes mid-reply.
         """
         try:
-            return self._process.request(message, deadline_seconds)
+            self.transport.send(message)
+            return self.transport.recv(deadline_seconds)
         except TransportTimeout:
-            raise _HardTimeout() from None
-        except (EOFError, BrokenPipeError, OSError) as error:
-            raise _WorkerDied(str(error)) from error
-
-    # -- lifecycle ----------------------------------------------------------
+            self.kill()
+            raise HardTimeout() from None
+        except (EOFError, OSError):
+            self.kill()  # reap; usually already dead
+            raise WorkerDied(
+                self.exit_kind(),
+                f"worker pid {self.pid} died with status {self.proc.returncode}",
+                self.proc.returncode,
+            ) from None
 
     def kill(self) -> None:
         """SIGKILL and reap; idempotent."""
-        self._process.kill()
+        if self.proc.poll() is None:
+            try:
+                self.proc.kill()
+            except OSError:
+                pass
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - kernel refusal
+            pass
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                if pipe is not None:
+                    pipe.close()
+            except OSError:
+                pass
 
     def shutdown(self) -> None:
         """Polite exit, escalating to SIGKILL."""
-        self._process.shutdown()
+        if self.proc.poll() is None:
+            try:
+                write_frame(self.proc.stdin, {"cmd": "shutdown"})
+                self.proc.stdin.close()
+                self.proc.wait(timeout=2)
+            except Exception:
+                pass
+        self.kill()
 
     def exit_kind(self) -> str:
         """Classify a dead worker's wait status into the crash taxonomy."""
-        return self._process.exit_kind()
+        code = self.proc.returncode
+        if code is None:  # pragma: no cover - callers reap first
+            return "unknown"
+        if code < 0:
+            return _SIGNAL_KINDS.get(-code, f"signal-{-code}")
+        if code == EXIT_MEMORY:
+            return "oom"
+        return f"exit-{code}"
+
+
+class LocalHandleFactory:
+    """Handle factory for ``--isolate process``: a subprocess per handle.
+
+    Workers spawn lazily, on a slot's first invocation; a slot whose worker
+    died gets a fresh one, and only that replacement is a respawn.
+    """
+
+    def attach(self, pool: "WorkerPool") -> None:
+        self.pool = pool
+
+    def ready(self, handle: Optional[WorkerHandle]) -> WorkerHandle:
+        if handle is not None and handle.alive:
+            return handle
+        if handle is not None:
+            self.pool.charge_respawn()
+        return WorkerHandle(self.pool.spec, self.pool.executable_blob)
+
+    def quarantined(self, reason: str, crashes: int, respawns: int):
+        return WorkerQuarantined(reason, crashes, respawns)
+
+    def health(self) -> dict:
+        return {}
+
+    def close(self) -> None:
+        pass
 
 
 @dataclass
@@ -263,9 +276,9 @@ class PoolStats:
 
 
 class WorkerPool:
-    """Round-robin pool of supervised workers for one executable."""
+    """Slot-leased pool of worker handles for one executable."""
 
-    def __init__(self, executable, spec: WorkerSpec, metrics=None):
+    def __init__(self, executable, spec: WorkerSpec, metrics=None, factory=None):
         self.spec = spec
         self.metrics = metrics
         self.executable_blob = pack_executable(executable)
@@ -277,29 +290,37 @@ class WorkerPool:
         #: accumulated chaos-injection counts from workers that already died
         self.injected_base: dict[str, int] = {}
         size = max(1, spec.pool_size)
-        self._workers: list[Optional[WorkerHandle]] = [None] * size
+        #: one handle per slot; None until the factory first makes it ready
+        self._handles: list = [None] * size
         #: slot leasing: a caller takes a slot index for the whole invocation
-        #: (blocking when all are leased), so each worker handle — and its
-        #: incremental ship-state — is touched by one thread at a time
+        #: (blocking when all are leased), so each handle — and its
+        #: incremental ship-state — is touched by one thread at a time.  The
+        #: per-slot lock is held for the whole invocation too, so background
+        #: work (remote heartbeats) only ever touches idle slots.
         self._slots: queue.Queue = queue.Queue()
         for slot in range(size):
             self._slots.put(slot)
+        self.slot_locks = [threading.Lock() for _ in range(size)]
         #: guards the pool ledger (ordinal, stats, quarantine, respawns,
-        #: injected totals) against concurrent scheduler threads
+        #: injected totals, metrics) against concurrent scheduler threads
         self._lock = threading.Lock()
         self.closed = False
+        self.factory = factory if factory is not None else LocalHandleFactory()
+        self.factory.attach(self)
 
     # -- public API ---------------------------------------------------------
 
     def invoke(self, db, timeout: Optional[float], trace_access: bool = False) -> dict:
-        """Run one invocation out of process; returns the worker's reply dict.
+        """Run one invocation on a leased handle; returns the worker's reply.
 
         Raises :class:`~repro.errors.ExecutableTimeoutError` on a hard-
         deadline kill, :class:`~repro.errors.WorkerCrashedError` on an
-        abnormal exit, and :class:`~repro.errors.WorkerQuarantined` once the
-        executable is quarantined.  A *clean* application error is not raised
-        here: the reply comes back with ``ok=False`` so the backend can mirror
-        the run's stats before re-raising it.
+        abnormal exit, :class:`~repro.errors.PeerUnavailable` (retryable; the
+        lease is fenced first) when a remote peer is unreachable, and
+        :class:`~repro.errors.WorkerQuarantined` once the executable is
+        quarantined.  A *clean* application error is not raised here: the
+        reply comes back with ``ok=False`` so the backend can mirror the
+        run's stats before re-raising it.
         """
         with self._lock:
             if self.closed:
@@ -308,62 +329,18 @@ class WorkerPool:
                 raise self.quarantine_error
         slot = self._slots.get()
         try:
-            worker = self._ensure_worker(slot)
-            with self._lock:
-                self.ordinal += 1
-                ordinal = self.ordinal
-                self.stats.invocations += 1
-            effective = (
-                timeout if timeout is not None else self.spec.default_timeout
-            )
-            message = {
-                "cmd": "run",
-                "ordinal": ordinal,
-                "timeout": timeout,
-                "trace_access": trace_access,
-                "deltas": self._deltas(worker, db),
-                "dropped": self._dropped(worker, db),
-            }
-            try:
-                reply = worker.request(message, effective + self.spec.kill_grace)
-            except _HardTimeout:
-                worker.kill()
-                self._workers[slot] = None
-                with self._lock:
-                    self.stats.kills += 1
-                    self._count("worker_kills_total")
-                    self._note_abnormal(worker)
-                raise ExecutableTimeoutError(
-                    f"isolated invocation {ordinal} exceeded its "
-                    f"{effective:.3f}s hard deadline and was killed"
-                ) from None
-            except _WorkerDied:
-                worker.kill()  # reap; usually already dead
-                self._workers[slot] = None
-                kind = worker.exit_kind()
-                with self._lock:
-                    self.stats.crashes += 1
-                    self._count("worker_crashes_total")
-                    self._note_abnormal(worker)
-                raise WorkerCrashedError(
-                    kind,
-                    f"worker pid {worker.pid} died with status "
-                    f"{worker.proc.returncode}",
-                    ordinal=ordinal,
-                ) from None
-            # A reply — normal or a clean application error — means the
-            # process survived the invocation: the crash streak is over.
-            with self._lock:
-                self.consecutive_abnormal = 0
-                self._record_reply_stats(worker, reply)
-            return reply
+            with self.slot_locks[slot]:
+                handle = self._handles[slot] = self.factory.ready(
+                    self._handles[slot]
+                )
+                return self._run(handle, db, timeout, trace_access)
         finally:
             self._slots.put(slot)
 
     def health(self) -> dict:
         """Point-in-time pool health, for breakers and the serve /status view."""
         with self._lock:
-            return {
+            view = {
                 "invocations": self.stats.invocations,
                 "crashes": self.stats.crashes,
                 "kills": self.stats.kills,
@@ -373,13 +350,15 @@ class WorkerPool:
                 "respawn_budget": self.spec.max_respawns,
                 "quarantined": self.quarantine_error is not None,
             }
+        view.update(self.factory.health())
+        return view
 
     def injected_totals(self) -> dict[str, int]:
         """Chaos-injection counts across all worker generations."""
         totals = dict(self.injected_base)
-        for worker in self._workers:
-            if worker is not None:
-                for key, value in worker.last_injected.items():
+        for handle in self._handles:
+            if handle is not None:
+                for key, value in handle.last_injected.items():
                     totals[key] = totals.get(key, 0) + value
         return totals
 
@@ -388,41 +367,85 @@ class WorkerPool:
             if self.closed:
                 return
             self.closed = True
-        for slot, worker in enumerate(self._workers):
-            if worker is not None:
-                self._absorb_injected(worker)
-                worker.shutdown()
-                self._workers[slot] = None
+        self.factory.close()
+        for slot, handle in enumerate(self._handles):
+            if handle is not None:
+                with self.slot_locks[slot]:
+                    self._absorb_injected(handle)
+                    handle.shutdown()
+
+    # -- ledger hooks for handle factories ----------------------------------
+
+    def charge_respawn(self) -> None:
+        """Charge one worker replacement; quarantines once the budget is spent."""
+        with self._lock:
+            if self.respawns >= self.spec.max_respawns:
+                self._quarantine("respawn budget spent")
+            self.respawns += 1
+            self.stats.restarts += 1
+            self._count("worker_restarts_total")
+
+    def quarantine(self, reason: str):
+        """Flip the sticky quarantine and raise it."""
+        with self._lock:
+            self._quarantine(reason)
+
+    def count(self, name: str, amount: int = 1, labels: Optional[dict] = None) -> None:
+        if self.metrics is not None:
+            with self._lock:
+                self.metrics.counter(name, labels=labels).inc(amount)
+
+    def observe(self, name: str, value: float) -> None:
+        if self.metrics is not None:
+            with self._lock:
+                self.metrics.histogram(name).observe(value)
 
     # -- internals ----------------------------------------------------------
 
-    def _ensure_worker(self, slot: int) -> WorkerHandle:
-        """Return the leased slot's live worker, spawning one if needed.
-
-        The slot is leased to the calling thread, so handle access needs no
-        lock; only the respawn ledger does.  The (slow) process spawn happens
-        outside the lock.
-        """
-        worker = self._workers[slot]
-        if worker is not None and worker.alive:
-            return worker
-        if worker is not None:
-            self._workers[slot] = None
+    def _run(self, handle, db, timeout: Optional[float], trace_access: bool) -> dict:
         with self._lock:
-            is_restart = self.stats.invocations > 0
-            if is_restart:
-                if self.respawns >= self.spec.max_respawns:
-                    self._quarantine("respawn budget spent")
-                self.respawns += 1
-                self.stats.restarts += 1
-                self._count("worker_restarts_total")
-        handle = WorkerHandle(self.spec, self.executable_blob)
-        self._workers[slot] = handle
-        return handle
+            self.ordinal += 1
+            ordinal = self.ordinal
+            self.stats.invocations += 1
+        effective = timeout if timeout is not None else self.spec.default_timeout
+        shipped = dict(handle.shipped)
+        message = {
+            "cmd": "run",
+            "ordinal": ordinal,
+            "timeout": timeout,
+            "trace_access": trace_access,
+            "deltas": _deltas(shipped, db),
+            "dropped": _dropped(shipped, db),
+        }
+        try:
+            reply = handle.run(message, effective + self.spec.kill_grace)
+        except HardTimeout:
+            with self._lock:
+                self.stats.kills += 1
+                self._count("worker_kills_total")
+                self._note_abnormal(handle)
+            raise ExecutableTimeoutError(
+                f"isolated invocation {ordinal} exceeded its "
+                f"{effective:.3f}s hard deadline and was killed"
+            ) from None
+        except WorkerDied as death:
+            with self._lock:
+                self.stats.crashes += 1
+                self._count("worker_crashes_total")
+                self._note_abnormal(handle)
+            raise WorkerCrashedError(death.kind, str(death), ordinal=ordinal) from None
+        # A reply — normal or a clean application error — means the worker
+        # applied the deltas and survived the invocation: commit the ledger
+        # and end the crash streak.
+        handle.shipped = shipped
+        with self._lock:
+            self.consecutive_abnormal = 0
+            self._record_reply_stats(handle, reply)
+        return reply
 
-    def _note_abnormal(self, worker: WorkerHandle) -> None:
+    def _note_abnormal(self, handle) -> None:
         """Record an abnormal exit; caller holds the pool lock."""
-        self._absorb_injected(worker)
+        self._absorb_injected(handle)
         self.consecutive_abnormal += 1
         if self.consecutive_abnormal >= self.spec.quarantine_threshold:
             self._quarantine(
@@ -430,18 +453,19 @@ class WorkerPool:
             )
 
     def _quarantine(self, reason: str):
-        self.quarantine_error = WorkerQuarantined(
+        """Flip the sticky quarantine; caller holds the pool lock."""
+        self.quarantine_error = self.factory.quarantined(
             reason, self.consecutive_abnormal, self.respawns
         )
         self._count("worker_quarantines_total")
         raise self.quarantine_error
 
-    def _absorb_injected(self, worker: WorkerHandle) -> None:
-        for key, value in worker.last_injected.items():
+    def _absorb_injected(self, handle) -> None:
+        for key, value in handle.last_injected.items():
             self.injected_base[key] = self.injected_base.get(key, 0) + value
-        worker.last_injected = {}
+        handle.last_injected = {}
 
-    def _record_reply_stats(self, worker: WorkerHandle, reply: dict) -> None:
+    def _record_reply_stats(self, handle, reply: dict) -> None:
         stats = reply.get("stats") or {}
         rss = int(stats.get("maxrss_bytes", 0))
         if rss > self.stats.rss_peak_bytes:
@@ -449,27 +473,31 @@ class WorkerPool:
             if self.metrics is not None:
                 self.metrics.gauge("worker_rss_peak_bytes").set(rss)
         if "injected" in stats:
-            worker.last_injected = dict(stats["injected"])
+            handle.last_injected = dict(stats["injected"])
 
     def _count(self, name: str) -> None:
+        """Tick a counter; caller holds the pool lock."""
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    # -- incremental state shipping -----------------------------------------
 
-    def _deltas(self, worker: WorkerHandle, db) -> dict:
-        deltas = {}
-        for name, schema, rows in db.table_states():
-            prev = worker.shipped.get(name)
-            if prev is not None and prev[0] == schema and prev[1] is rows:
-                continue
-            worker.shipped[name] = (schema, rows)
-            deltas[name] = {"schema": schema, "rows": rows}
-        return deltas
+# -- incremental state shipping ---------------------------------------------
 
-    def _dropped(self, worker: WorkerHandle, db) -> list:
-        live = {name for name, _, _ in db.table_states()}
-        dropped = [name for name in worker.shipped if name not in live]
-        for name in dropped:
-            del worker.shipped[name]
-        return dropped
+
+def _deltas(shipped: dict, db) -> dict:
+    deltas = {}
+    for name, schema, rows in db.table_states():
+        prev = shipped.get(name)
+        if prev is not None and prev[0] == schema and prev[1] is rows:
+            continue
+        shipped[name] = (schema, rows)
+        deltas[name] = {"schema": schema, "rows": rows}
+    return deltas
+
+
+def _dropped(shipped: dict, db) -> list:
+    live = {name for name, _, _ in db.table_states()}
+    dropped = [name for name in shipped if name not in live]
+    for name in dropped:
+        del shipped[name]
+    return dropped

@@ -1,8 +1,10 @@
 """Worker-pool isolation tests: kills, caps, classification, quarantine.
 
 The pool is exercised directly with the hostile executables from
-``tests/isolation_workloads.py`` (importable by the worker process), then
-end-to-end through a real extraction under ``isolate="process"``.
+``tests/isolation_workloads.py`` (importable by the worker process) over
+both handle kinds — local subprocess workers and a loopback worker agent
+over TCP — then end-to-end through a real extraction under
+``isolate="process"``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from repro.errors import (
     WorkerCrashedError,
     WorkerQuarantined,
 )
+from repro.isolation.agent import WorkerAgent
 from repro.isolation.protocol import ProtocolError, pack_executable
+from repro.isolation.remote import RemoteHandleFactory, RemoteSpec
 from repro.isolation.supervisor import WorkerPool, WorkerSpec
 from repro.obs import MetricsRegistry, Tracer
 
@@ -57,21 +61,36 @@ def nation_db() -> Database:
 
 
 @pytest.fixture
-def pool_factory():
+def pool_factory(request):
+    """Builds pools of the test class's ``handle_kind``."""
     pools = []
+    agents = []
 
     def make(executable, **spec_kwargs) -> WorkerPool:
         spec_kwargs.setdefault("default_timeout", 10.0)
-        pool = WorkerPool(executable, WorkerSpec(**spec_kwargs))
+        spec = WorkerSpec(**spec_kwargs)
+        factory = None
+        if request.cls.handle_kind == "remote":
+            # the agent spawns the workers, so it applies the memory cap
+            agent = WorkerAgent(spec=spec)
+            agents.append(agent)
+            factory = RemoteHandleFactory(RemoteSpec(peers=(agent.start(),)))
+        pool = WorkerPool(executable, spec, factory=factory)
         pools.append(pool)
         return pool
 
     yield make
     for pool in pools:
         pool.close()
+    for agent in agents:
+        agent.stop()
 
 
 class TestWorkerPool:
+    """The pool contract, on local subprocess handles."""
+
+    handle_kind = "process"
+
     def test_clean_invocation_round_trip(self, pool_factory):
         pool = pool_factory(EchoNation())
         reply = pool.invoke(nation_db(), None)
@@ -116,6 +135,52 @@ class TestWorkerPool:
         assert pool.stats.crashes == 1
         assert pool.stats.restarts == 1
         assert pool.consecutive_abnormal == 0  # streak reset by the reply
+
+    def test_first_worker_of_each_slot_is_not_a_restart(self, pool_factory):
+        # Serial invocations rotate through the slots; the second slot's
+        # first worker is startup, not a replacement, even though the first
+        # slot has already run an invocation.
+        pool = pool_factory(RowCounter(), pool_size=2)
+        db = nation_db()
+        assert pool.invoke(db, None)["ok"]
+        assert pool.invoke(db, None)["ok"]
+        assert [handle.alive for handle in pool._handles] == [True, True]
+        assert pool.stats.crashes == 0
+        assert pool.stats.restarts == 0
+        assert pool.respawns == 0
+
+    def test_concurrent_callers_are_counted_exactly_once(self, pool_factory):
+        # More callers than slots: excess callers queue for a slot, and the
+        # shared ledger neither loses nor double-counts an invocation.
+        import sys
+        import threading
+
+        pool = pool_factory(RowCounter(), pool_size=2)
+        db = nation_db()
+        replies, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(3):
+                    replies.append(pool.invoke(db, None))
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert [reply["result"].rows for reply in replies] == [[(3,)]] * 12
+        assert pool.stats.invocations == pool.ordinal == 12
+        assert pool.stats.restarts == 0
 
     def test_quarantine_after_consecutive_crashes(self, pool_factory):
         pool = pool_factory(Aborter(), quarantine_threshold=3, max_respawns=10)
@@ -201,6 +266,12 @@ class TestWorkerPool:
         quarantined = WorkerQuarantined("why", crashes=4, respawns=9)
         clone = pickle.loads(pickle.dumps(quarantined))
         assert (clone.reason, clone.crashes, clone.respawns) == ("why", 4, 9)
+
+
+class TestWorkerPoolOverTcp(TestWorkerPool):
+    """The same contract, on TCP handles to a loopback worker agent."""
+
+    handle_kind = "remote"
 
 
 class TestIsolatedExtraction:

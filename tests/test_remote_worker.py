@@ -1,8 +1,11 @@
 """Remote isolation: agent + transport + leases/fencing + failure detection.
 
-Covers the supervisor half (:mod:`repro.isolation.remote`) against a real
-in-process :class:`~repro.isolation.agent.WorkerAgent` on loopback, plus the
-pure pieces (EWMA detector, health registry) in isolation.
+Covers the TCP handle kind (:mod:`repro.isolation.remote`) of the worker
+pool against a real in-process :class:`~repro.isolation.agent.WorkerAgent`
+on loopback, plus the pure pieces (EWMA detector, health registry) in
+isolation.  The pool contract both handle kinds share (round-trip, kills,
+crash classification, quarantine, delta tracking) is parametrized over both
+in ``tests/test_isolation.py``.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from repro.isolation.protocol import (
 from repro.isolation.remote import (
     FailureDetector,
     PeerHealthRegistry,
+    RemoteHandleFactory,
     RemoteSpec,
-    RemoteWorkerPool,
 )
+from repro.isolation.supervisor import WorkerPool, WorkerSpec
 from repro.workloads import tpch_queries
 from tests.isolation_workloads import AbortOnce, BusyLooper, RowCounter
 
@@ -46,6 +50,11 @@ def agent():
     worker_agent.start()
     yield worker_agent
     worker_agent.stop()
+
+
+def remote_pool(executable, remote_spec, registry=None, **spec_kwargs):
+    factory = RemoteHandleFactory(remote_spec, registry=registry)
+    return WorkerPool(executable, WorkerSpec(**spec_kwargs), factory=factory)
 
 
 def make_pool(agent, executable=None, **overrides):
@@ -60,7 +69,9 @@ def make_pool(agent, executable=None, **overrides):
         connect_timeout=2.0,
     )
     defaults.update(overrides)
-    return RemoteWorkerPool(executable, RemoteSpec(**defaults))
+    remote = {key: defaults.pop(key) for key in list(defaults)
+              if key in RemoteSpec.__dataclass_fields__}
+    return remote_pool(executable, RemoteSpec(**remote), **defaults)
 
 
 class TestFailureDetector:
@@ -155,7 +166,7 @@ class TestRemotePoolBasics:
 
     def test_no_peers_is_an_immediate_error(self):
         with pytest.raises(ExtractionError):
-            RemoteWorkerPool(RowCounter(), RemoteSpec(peers=()))
+            remote_pool(RowCounter(), RemoteSpec(peers=()))
 
     def test_unreachable_peer_quarantines_with_structured_error(self):
         spec = RemoteSpec(
@@ -165,7 +176,7 @@ class TestRemotePoolBasics:
             backoff_max=0.002,
             max_reconnects=2,
         )
-        pool = RemoteWorkerPool(RowCounter(), spec)
+        pool = remote_pool(RowCounter(), spec)
         try:
             from repro.datagen import tpch
 
@@ -243,10 +254,11 @@ class TestTransportSecurity:
         worker_agent = WorkerAgent(secret=b"hunter2")
         address = worker_agent.start()
         try:
-            pool = RemoteWorkerPool(
+            pool = remote_pool(
                 RowCounter(),
                 RemoteSpec(peers=(address,), secret=b"hunter2",
-                           default_timeout=5.0, connect_timeout=2.0),
+                           connect_timeout=2.0),
+                default_timeout=5.0,
             )
             try:
                 assert pool.invoke(tpch_db, timeout=5.0)["ok"]
@@ -339,11 +351,11 @@ class TestReconnectAccounting:
             late = pool._handles[1]
             assert not late.has_connected
             with late.lock:
-                pool._ensure_connected(late)
+                pool.factory.ready(late)
             assert late.has_connected
             assert pool.respawns == 0
             assert pool.stats.restarts == 0
-            assert pool.registry.snapshot()[agent.address]["reconnects"] == 0
+            assert pool.factory.registry.snapshot()[agent.address]["reconnects"] == 0
         finally:
             pool.close()
 
@@ -354,10 +366,10 @@ class TestReconnectAccounting:
             handle = pool._handles[0]
             with handle.lock:
                 handle.mark_dead()
-                pool._ensure_connected(handle)
+                pool.factory.ready(handle)
             assert pool.respawns == 1
             assert pool.stats.restarts == 1
-            assert pool.registry.snapshot()[agent.address]["reconnects"] == 1
+            assert pool.factory.registry.snapshot()[agent.address]["reconnects"] == 1
         finally:
             pool.close()
 
@@ -365,11 +377,11 @@ class TestReconnectAccounting:
 class TestHeartbeats:
     def test_heartbeats_feed_the_registry_and_detector(self, agent, tpch_db):
         registry = PeerHealthRegistry((agent.address,))
-        pool = RemoteWorkerPool(
+        pool = remote_pool(
             RowCounter(),
-            RemoteSpec(peers=(agent.address,), heartbeat_interval=0.05,
-                       default_timeout=5.0),
+            RemoteSpec(peers=(agent.address,), heartbeat_interval=0.05),
             registry=registry,
+            default_timeout=5.0,
         )
         try:
             pool.invoke(tpch_db, timeout=5.0)
