@@ -12,7 +12,9 @@ Commands:
   span tree plus a top-N slowest-queries table;
 * ``chaos``     — run one extraction under a named fault-injection profile
   (deterministic, seeded) and report whether it survived: identical SQL to
-  the fault-free run, retries, timeouts, and degradations;
+  the fault-free run, retries, timeouts, and degradations; the ``disk``,
+  ``net`` and ``serve-kill`` profiles instead run a survival matrix of
+  (fault class × site) cells (``repro.resilience.chaos``);
 * ``verify``    — answer "is this hidden query inside the extractable class?"
   with a structured verdict and per-clause confidence (exit 4 when
   out-of-class) instead of risking a plausible-but-wrong SQL string;
@@ -49,7 +51,7 @@ CEGIS loop (counterexample -> D_I augmentation -> re-extraction) has had
 ``--certify-rounds`` chances to repair it.
 
 Exit status: 0 success; 1 extraction/engine error (one-line ``error: ...``,
-never a traceback); 2 usage error; 3 empty initial result; 4 ``verify``
+never a traceback) or a chaos run that did not survive; 2 usage error; 3 empty initial result; 4 ``verify``
 verdict ``out_of_class``; 5 transport-level quarantine (every ``--isolate
 remote`` peer unreachable after capped-backoff reconnects); 6 ``verify
 --certify`` found a counterexample the CEGIS loop could not resolve; 130
@@ -67,34 +69,12 @@ from repro.apps.executable import SQLExecutable
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import UnmasqueExtractor
 from repro.errors import PeerQuarantined, ReproError
+from repro.workloads import WORKLOADS, find_query, workload_modules
+from repro.workloads import build_instance as _build_database
 
-
-def _load_workloads():
-    from repro.workloads import (
-        having_queries,
-        job_queries,
-        regal_queries,
-        tpcds_queries,
-        tpch_queries,
-    )
-
-    return {
-        "tpch": tpch_queries,
-        "tpcds": tpcds_queries,
-        "job": job_queries,
-        "regal": regal_queries,
-        "having": having_queries,
-    }
-
-
-def _build_database(workload: str, scale: float, seed: int):
-    from repro.datagen import imdb, tpcds, tpch
-
-    if workload == "job":
-        return imdb.build_database(movies=max(50, int(scale * 100_000)), seed=seed)
-    if workload == "tpcds":
-        return tpcds.build_database(sales=max(500, int(scale * 1_000_000)), seed=seed)
-    return tpch.build_database(scale=scale, seed=seed)
+#: chaos profiles that run a survival matrix (repro.resilience.chaos) rather
+#: than one faulted extraction
+MATRIX_PROFILES = ("disk", "net", "serve-kill")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -107,7 +87,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub.add_parser("workloads", help="list bundled workloads and their queries")
 
     extract = sub.add_parser("extract", help="extract one bundled hidden query")
-    extract.add_argument("--workload", default="tpch", choices=list(_load_workloads()))
+    extract.add_argument("--workload", default="tpch", choices=WORKLOADS)
     extract.add_argument("--query", required=True, help="query name, e.g. Q3")
     _common_extraction_args(extract)
 
@@ -130,11 +110,10 @@ def _make_parser() -> argparse.ArgumentParser:
         "chaos",
         help="extract one hidden query under fault injection and report survival",
     )
-    chaos.add_argument("--workload", default="tpch", choices=list(_load_workloads()))
+    chaos.add_argument("--workload", default="tpch", choices=WORKLOADS)
     chaos.add_argument("--query", required=True, help="query name, e.g. Q3")
     chaos.add_argument("--profile", default="transient",
-                       choices=sorted(FAULT_PROFILES) + ["disk", "net",
-                                                         "serve-kill"],
+                       choices=sorted(FAULT_PROFILES) + list(MATRIX_PROFILES),
                        help="named fault profile (default: transient); "
                             "'serve-kill' SIGKILLs a live `repro serve` "
                             "between module boundaries and proves every job "
@@ -167,8 +146,10 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="serve-kill only: concurrent jobs submitted "
                             "(default 3)")
     chaos.add_argument("--serve-dir", metavar="DIR", default=None,
-                       help="serve-kill only: journal/checkpoint directory "
-                            "(default: a fresh temp dir)")
+                       help="disk, net and serve-kill: the matrix workdir "
+                            "(fault-injected stores, journal, checkpoints and "
+                            "<profile>_chaos_matrix.json; default: a fresh "
+                            "temp dir)")
     _common_extraction_args(chaos)
 
     serve = sub.add_parser(
@@ -287,7 +268,7 @@ def _make_parser() -> argparse.ArgumentParser:
         help="check whether a hidden query is inside the extractable class "
              "(EQC) instead of extracting it",
     )
-    verify.add_argument("--workload", default="tpch", choices=list(_load_workloads()))
+    verify.add_argument("--workload", default="tpch", choices=WORKLOADS)
     verify.add_argument("--query", default=None, help="bundled query name, e.g. Q3")
     verify.add_argument("--sql", default=None, metavar="SQL",
                         help="ad-hoc SQL text to hide and verify")
@@ -318,8 +299,7 @@ def _make_parser() -> argparse.ArgumentParser:
         help="extract a hidden query and print every clause of the result "
              "with the probe evidence that established it",
     )
-    explain.add_argument("--workload", default="tpch",
-                         choices=list(_load_workloads()))
+    explain.add_argument("--workload", default="tpch", choices=WORKLOADS)
     explain.add_argument("--query", default=None,
                          help="bundled query name, e.g. Q3")
     explain.add_argument("--sql", default=None, metavar="SQL",
@@ -468,15 +448,14 @@ def main(argv: Optional[list[str]] = None, out=sys.stdout) -> int:
 
 def _dispatch(args, out) -> int:
     if args.command == "workloads":
-        for name, module in _load_workloads().items():
+        for name, module in workload_modules().items():
             out.write(f"{name}:\n")
             for query_name, query in module.QUERIES.items():
                 out.write(f"  {query_name:<18} {query.description[:70]}\n")
         return 0
 
     if args.command == "extract":
-        module = _load_workloads()[args.workload]
-        query = _lookup_query(module, args.query)
+        query = find_query(args.workload, args.query)
         if query is None:
             out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
             return 2
@@ -498,17 +477,12 @@ def _dispatch(args, out) -> int:
         return _run_bench(args, out)
 
     if args.command == "chaos":
-        module = _load_workloads()[args.workload]
-        query = _lookup_query(module, args.query)
+        query = find_query(args.workload, args.query)
         if query is None:
             out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
             return 2
-        if args.profile == "serve-kill":
-            return _run_serve_kill_chaos(args, out)
-        if args.profile == "disk":
-            return _run_disk_chaos(args, out)
-        if args.profile == "net":
-            return _run_net_chaos(args, out)
+        if args.profile in MATRIX_PROFILES:
+            return _run_matrix_chaos(args, out)
         return _run_chaos(args, query.sql, out)
 
     if args.command == "serve":
@@ -520,8 +494,7 @@ def _dispatch(args, out) -> int:
             return 2
         sql = args.sql
         if args.query is not None:
-            module = _load_workloads()[args.workload]
-            query = _lookup_query(module, args.query)
+            query = find_query(args.workload, args.query)
             if query is None:
                 out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
                 return 2
@@ -529,18 +502,6 @@ def _dispatch(args, out) -> int:
         return _run_verify(args, sql, out)
 
     return 2  # pragma: no cover - argparse enforces the choices
-
-
-def _lookup_query(module, name: str):
-    """Exact, then case-insensitive, lookup in a workload's query registry."""
-    query = module.QUERIES.get(name)
-    if query is not None:
-        return query
-    lowered = name.lower()
-    for key, candidate in module.QUERIES.items():
-        if key.lower() == lowered:
-            return candidate
-    return None
 
 
 def _run_trace_report(args, out) -> int:
@@ -1030,8 +991,7 @@ def _run_explain(args, out) -> int:
         return 2
     sql = args.sql
     if args.query is not None:
-        module = _load_workloads()[args.workload]
-        query = _lookup_query(module, args.query)
+        query = find_query(args.workload, args.query)
         if query is None:
             out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
             return 2
@@ -1250,85 +1210,32 @@ def _run_serve(args, out) -> int:
     return 0
 
 
-def _run_serve_kill_chaos(args, out) -> int:
-    """The serve-kill profile: SIGKILL a live server N times, prove recovery."""
+def _run_matrix_chaos(args, out) -> int:
+    """The survival-matrix profiles: exit 0 iff every cell survived."""
+    import functools
     import tempfile
 
-    from repro.serve.killer import run_serve_kill
+    from repro.resilience import chaos
 
-    workdir = args.serve_dir or tempfile.mkdtemp(prefix="repro-serve-kill-")
-    report = run_serve_kill(
-        args.query,
-        workload=args.workload,
-        scale=args.scale,
-        seed=args.seed,
-        serve_jobs=args.serve_jobs,
-        kills=args.kills,
-        workdir=workdir,
-        out=out,
-    )
-    for job_id, info in sorted(report["jobs"].items()):
-        marker = "converged" if info["converged"] else "DIVERGED"
-        out.write(
-            f"{job_id:<12}: {marker} ({info['state']}, "
-            f"attempt {info['attempts']})\n"
-        )
-    out.write(f"kills       : {report['kills']}\n")
-    out.write(f"journal     : {report['journal']}\n")
-    verdict = "SURVIVED" if report["converged"] else "DIVERGED"
-    out.write(f"verdict     : {verdict}\n")
-    return 0 if report["converged"] else 1
-
-
-def _run_disk_chaos(args, out) -> int:
-    """The disk profile: storage faults against every durable store."""
-    import tempfile
-
-    from repro.resilience.diskchaos import run_disk_chaos
-
-    workdir = args.serve_dir or tempfile.mkdtemp(prefix="repro-disk-chaos-")
-    report = run_disk_chaos(
+    cells = {
+        "disk": chaos.disk_cells,
+        "net": functools.partial(chaos.net_cells, fast=args.fast),
+        "serve-kill": functools.partial(
+            chaos.serve_kill_cells, serve_jobs=args.serve_jobs, kills=args.kills
+        ),
+    }[args.profile]
+    report = chaos.run_matrix(
+        args.profile,
+        cells,
         args.query,
         workload=args.workload,
         scale=args.scale,
         seed=args.seed,
         chaos_seed=args.chaos_seed,
-        workdir=workdir,
+        workdir=args.serve_dir
+        or tempfile.mkdtemp(prefix=f"repro-{args.profile}-chaos-"),
         out=out,
     )
-    passed = sum(1 for cell in report["cells"] if cell["ok"])
-    out.write(f"matrix      : {passed}/{len(report['cells'])} cells passed "
-              f"({len(report['fault_classes'])} fault classes x 3 stores)\n")
-    out.write(f"workdir     : {report['workdir']}\n")
-    verdict = "SURVIVED" if report["survived"] else "DIVERGED"
-    out.write(f"verdict     : {verdict}\n")
-    return 0 if report["survived"] else 1
-
-
-def _run_net_chaos(args, out) -> int:
-    """The net profile: wire faults against the remote worker transport."""
-    import tempfile
-
-    from repro.resilience.netchaos import run_net_chaos
-
-    workdir = args.serve_dir or tempfile.mkdtemp(prefix="repro-net-chaos-")
-    report = run_net_chaos(
-        args.query,
-        workload=args.workload,
-        scale=args.scale,
-        seed=args.seed,
-        chaos_seed=args.chaos_seed,
-        workdir=workdir,
-        out=out,
-        fast=args.fast,
-    )
-    passed = sum(1 for cell in report["cells"] if cell["ok"])
-    out.write(f"matrix      : {passed}/{len(report['cells'])} cells passed "
-              f"({len(report['fault_classes'])} fault classes x "
-              f"{len(report['phases']) - 1} phases + clean)\n")
-    out.write(f"workdir     : {report['workdir']}\n")
-    verdict = "SURVIVED" if report["survived"] else "DIVERGED"
-    out.write(f"verdict     : {verdict}\n")
     return 0 if report["survived"] else 1
 
 

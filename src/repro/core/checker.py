@@ -23,12 +23,19 @@ import datetime
 from dataclasses import dataclass, field
 
 from repro.core.dgen import DgenBuilder
+from repro.core.limit import LIMIT_PROBE_CAP
 from repro.core.model import NumericFilter, TextFilter
 from repro.core.session import ExtractionSession
 from repro.core.svalues import SValueError, SValueSource
 from repro.engine.result import Result
 from repro.errors import ExtractionError
 from repro.sgraph.schema_graph import ColumnNode
+
+#: Randomized databases generated per check.
+RANDOM_DATABASES = 3
+
+#: Rows per table in each randomized database.
+RANDOM_ROWS_PER_TABLE = 24
 
 
 class CheckFailedError(ExtractionError):
@@ -194,10 +201,9 @@ def _candidate_databases(session: ExtractionSession, svalues: SValueSource):
 
 
 def _random_databases(session: ExtractionSession, svalues: SValueSource):
-    config = session.config
-    for round_index in range(config.checker_random_databases):
-        n = config.checker_rows_per_table
-        yield _build_random(session, svalues, n, salt=round_index)
+    for round_index in range(RANDOM_DATABASES):
+        yield _build_random(session, svalues, RANDOM_ROWS_PER_TABLE,
+                            salt=round_index)
 
 
 def _build_random(
@@ -395,7 +401,7 @@ def _limit_probe_database(session, svalues: SValueSource, builder: DgenBuilder):
     limit = session.query.limit
     if limit is None:
         return
-    n = min(limit + 3, session.config.limit_probe_cap)
+    n = min(limit + 3, LIMIT_PROBE_CAP)
     overrides: dict[ColumnNode, list] = {}
     row_counts = {table: n for table in session.query.tables}
     for clique in session.query.join_cliques:

@@ -28,31 +28,12 @@ class ExtractionConfig:
     #: Run the sampling pre-pass before iterative halving (paper §4.2).
     minimizer_sampling: bool = True
 
-    #: Tables smaller than this skip the sampling pre-pass.
-    sampling_threshold: int = 512
-
-    #: Fractions tried, smallest first, during the sampling pre-pass.
-    sampling_fractions: tuple[float, ...] = (0.0005, 0.005, 0.05)
-
     #: Which table to halve next: "largest" (paper's winner), "smallest",
     #: "random", or "round_robin" (ablation choices, §4.2).
     halving_policy: str = "largest"
 
     #: Geometric ratio for limit-probe result cardinalities (paper: 10).
     limit_ratio: int = 10
-
-    #: Smallest probe cardinality for limit extraction (paper: max(4, |R_I|)).
-    limit_start_floor: int = 4
-
-    #: Upper bound on probe cardinality for limit extraction (a practical cap
-    #: below the domain-derived l_max).
-    limit_probe_cap: int = 2000
-
-    #: Number of randomized databases generated by the extraction checker.
-    checker_random_databases: int = 3
-
-    #: Rows per table in each randomized checker database.
-    checker_rows_per_table: int = 24
 
     #: Extract a HAVING clause using the restructured pipeline (§7).
     extract_having: bool = False
@@ -81,12 +62,6 @@ class ExtractionConfig:
 
     #: First retry backoff delay, seconds (0 disables sleeping entirely).
     retry_base_delay: float = 0.01
-
-    #: Ceiling on a single backoff delay, seconds.
-    retry_max_delay: float = 1.0
-
-    #: ± fraction of jitter applied to each backoff delay.
-    retry_jitter: float = 0.5
 
     #: Also retry invocation timeouts.  Off by default: during From-clause
     #: identification a timeout is a *signal* (table not referenced); turn
@@ -226,9 +201,6 @@ class ExtractionConfig:
     #: probes, retry replays) skip the physical execution.
     invocation_cache: bool = True
 
-    #: Entry capacity of the invocation memo.
-    invocation_cache_size: int = 512
-
     # -- bounded symbolic verification (repro.veriq) -------------------------
 
     #: Run the bounded symbolic equivalence checker after extraction and
@@ -241,10 +213,6 @@ class ExtractionConfig:
 
     #: Cap on symbolic databases enumerated per verification round.
     certify_databases: int = 512
-
-    #: Cap on real application probes per verification round (after
-    #: signature-based conflict pruning).
-    certify_probes: int = 256
 
     #: CEGIS rounds: each counterexample re-materializes into D_I and the
     #: pipeline re-extracts, until a certificate or the budget is spent.

@@ -21,6 +21,13 @@ from repro.core.svalues import SValueSource
 from repro.errors import ExtractionError
 from repro.sgraph.schema_graph import ColumnNode
 
+#: Smallest probe cardinality (paper: max(4, |R_I|)).
+LIMIT_START_FLOOR = 4
+
+#: Upper bound on probe cardinality (a practical cap below the
+#: domain-derived l_max).
+LIMIT_PROBE_CAP = 2000
+
 
 def extract_limit(session: ExtractionSession, svalues: SValueSource) -> int | None:
     """Identify ``l_E`` (None when no limit is observable)."""
@@ -32,10 +39,10 @@ def extract_limit(session: ExtractionSession, svalues: SValueSource) -> int | No
 
         l_max = _max_groups(session, svalues)
         start = max(
-            session.config.limit_start_floor,
+            LIMIT_START_FLOOR,
             session.initial_result.row_count if session.initial_result else 0,
         )
-        cap = min(l_max, session.config.limit_probe_cap)
+        cap = min(l_max, LIMIT_PROBE_CAP)
 
         n = min(start, cap)
         builder = DgenBuilder(session, svalues)
@@ -97,12 +104,12 @@ def _independent_group_columns(session: ExtractionSession) -> list[ColumnNode]:
 def _max_groups(session: ExtractionSession, svalues: SValueSource) -> int:
     """l_max: the most groups any valid database can produce."""
     if not session.query.group_by:
-        return session.config.limit_probe_cap  # SPJ: rows are unbounded
+        return LIMIT_PROBE_CAP  # SPJ: rows are unbounded
     total = 1
     for column in _independent_group_columns(session):
         total *= max(1, svalues.capacity(column))
-        if total >= session.config.limit_probe_cap:
-            return session.config.limit_probe_cap
+        if total >= LIMIT_PROBE_CAP:
+            return LIMIT_PROBE_CAP
     return total
 
 

@@ -22,6 +22,12 @@ import math
 from repro.core.session import ExtractionSession
 from repro.errors import ExtractionError
 
+#: Tables no larger than this skip the sampling pre-pass.
+SAMPLING_THRESHOLD = 512
+
+#: Fractions tried, smallest first, during the sampling pre-pass.
+SAMPLING_FRACTIONS = (0.0005, 0.005, 0.05)
+
 
 def minimize(session: ExtractionSession) -> dict[str, tuple]:
     """Reduce the silo to ``D^1`` and install it on the session."""
@@ -44,16 +50,15 @@ def minimize(session: ExtractionSession) -> dict[str, tuple]:
 
 def _sampling_prepass(session: ExtractionSession) -> None:
     """Shrink big tables by sampling while the result stays populated."""
-    config = session.config
     tables = sorted(
         session.query.tables, key=session.silo.row_count, reverse=True
     )
     for table in tables:
         size = session.silo.row_count(table)
-        if size <= config.sampling_threshold:
+        if size <= SAMPLING_THRESHOLD:
             continue
         original_rows = session.silo.rows(table)
-        for fraction in config.sampling_fractions:
+        for fraction in SAMPLING_FRACTIONS:
             count = max(1, math.ceil(size * fraction))
             if count >= size:
                 break

@@ -95,8 +95,6 @@ class ExtractionSession:
         self.retry = RetryPolicy(
             max_attempts=config.retry_max_attempts,
             base_delay=config.retry_base_delay,
-            max_delay=config.retry_max_delay,
-            jitter=config.retry_jitter,
             retry_timeouts=config.retry_timeouts,
             seed=config.seed ^ 0x5EED5EED,
         )
@@ -226,7 +224,7 @@ class ExtractionSession:
         #: None otherwise so a previous session's memo never leaks in.
         self.memo: Optional[InvocationMemo] = None
         if config.invocation_cache and executable.cacheable:
-            self.memo = InvocationMemo(capacity=config.invocation_cache_size)
+            self.memo = InvocationMemo()
         executable.memo = self.memo
 
         #: probe scheduler (``--jobs``); with jobs=1 it is a pass-through

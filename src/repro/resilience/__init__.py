@@ -21,7 +21,13 @@ that reality:
 * :mod:`repro.resilience.budgets` — :class:`ResourceBudget` watchdog
   enforcing per-module and per-run limits (invocations, rows scanned,
   synthetic cells, wall-clock) with a structured
-  :class:`~repro.errors.BudgetExhausted` that flows into degradation.
+  :class:`~repro.errors.BudgetExhausted` that flows into degradation;
+* :mod:`repro.resilience.diskfaults` / :mod:`repro.resilience.netfaults` —
+  seeded storage and wire fault injectors;
+* :mod:`repro.resilience.chaos` — the one survival-matrix runner behind the
+  ``disk``, ``net`` and ``serve-kill`` chaos profiles: an inline baseline,
+  one row per (fault class × site) cell, a SURVIVED/DIVERGED verdict and a
+  ``<profile>_chaos_matrix.json`` report.
 
 Best-effort degradation (recording a failed non-essential module instead of
 aborting) lives in :mod:`repro.core.pipeline`, gated by

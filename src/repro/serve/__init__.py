@@ -9,7 +9,9 @@ Turns the single-run pipeline into a long-running multi-tenant service:
 * :mod:`repro.serve.tenants` — per-tenant budget and quarantine ledgers;
 * :mod:`repro.serve.service` — the orchestrator tying them together;
 * :mod:`repro.serve.api` — the stdlib JSON HTTP facade;
-* :mod:`repro.serve.killer` — the ``serve-kill`` chaos harness.
+* :mod:`repro.serve.killer` — server process control and journal readers
+  for the ``serve-kill`` chaos profile (its matrix runs in
+  :mod:`repro.resilience.chaos`).
 """
 
 from repro.serve.breaker import CircuitBreaker

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: workloads a job may target; mirrors the CLI's registry
-WORKLOADS = ("tpch", "tpcds", "job", "regal", "having")
+from repro.workloads import WORKLOADS
 
 
 class JobState:

@@ -1,19 +1,12 @@
-"""The ``serve-kill`` chaos harness: SIGKILL the server, prove convergence.
+"""Process control and journal readers for the ``serve-kill`` chaos profile.
 
-Drives a real ``repro serve`` subprocess through repeated SIGKILLs while
-jobs are in flight and asserts the crash-safety contract end to end:
-
-1. extract each job's query inline first — the fault-free baseline SQL;
-2. start the server, submit every job over the HTTP API;
-3. wait for module-boundary progress in the job journal, then SIGKILL the
-   server mid-run; restart it against the same journal and checkpoint root
-   (recovery requeues interrupted jobs and resumes them from their
-   checkpoints); repeat N times;
-4. wait for every job to reach a terminal state, SIGTERM the final server
-   (graceful drain), and compare each job's journaled SQL byte-for-byte
-   against its baseline.
-
-Used by ``repro chaos --profile serve-kill`` and the slow integration test.
+:class:`Server` runs one ``repro serve`` subprocess (SIGKILL = the crash
+being modelled, SIGTERM = graceful drain); :func:`post_json` submits jobs
+over its HTTP API; :func:`progress_count` and :func:`job_states` read the
+job journal directly, so the profile can time its kills at module
+boundaries and compare each job's journaled SQL with its baseline.  The
+survival matrix itself is
+:func:`repro.resilience.chaos.serve_kill_cells`.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -35,7 +27,7 @@ from repro.errors import ExtractionError
 _LISTEN_RE = re.compile(r"listening on http://[\d.]+:(\d+)")
 
 
-class _Server:
+class Server:
     """One ``repro serve`` subprocess with its stdout continuously drained."""
 
     def __init__(self, journal: Path, checkpoint_root: Path, workers: int):
@@ -92,7 +84,7 @@ class _Server:
             raise ExtractionError("serve subprocess ignored SIGTERM") from None
 
 
-def _post_json(port: int, path: str, payload: dict) -> dict:
+def post_json(port: int, path: str, payload: dict) -> dict:
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}",
         data=json.dumps(payload).encode("utf-8"),
@@ -118,7 +110,7 @@ def _journal_read(journal: Path, query: str, params: tuple = ()) -> list:
         conn.close()
 
 
-def _progress_count(journal: Path) -> int:
+def progress_count(journal: Path) -> int:
     rows = _journal_read(
         journal,
         "SELECT COUNT(*) AS n FROM transitions WHERE detail LIKE 'module:%'",
@@ -126,7 +118,7 @@ def _progress_count(journal: Path) -> int:
     return rows[0]["n"]
 
 
-def _job_states(journal: Path, job_ids: list[str]) -> dict[str, dict]:
+def job_states(journal: Path, job_ids: list[str]) -> dict[str, dict]:
     marks = ",".join("?" for _ in job_ids)
     rows = _journal_read(
         journal,
@@ -135,143 +127,3 @@ def _job_states(journal: Path, job_ids: list[str]) -> dict[str, dict]:
         tuple(job_ids),
     )
     return {row["job_id"]: dict(row) for row in rows}
-
-
-def run_serve_kill(
-    query: str,
-    workload: str = "tpch",
-    scale: float = 0.0005,
-    seed: int = 11,
-    serve_jobs: int = 3,
-    kills: int = 2,
-    workers: int = 2,
-    workdir=None,
-    out=sys.stdout,
-    timeout: float = 600.0,
-) -> dict:
-    """Run the kill-and-recover proof; returns a structured report.
-
-    Each of the ``serve_jobs`` jobs extracts ``query`` against its own
-    deterministic instance (seeds ``seed .. seed + serve_jobs - 1``), so the
-    harness also proves recovery across *distinct* checkpoint fingerprints.
-    """
-    from repro.apps.executable import SQLExecutable
-    from repro.core.config import ExtractionConfig
-    from repro.core.pipeline import UnmasqueExtractor
-    from repro.serve.jobs import JobRequest
-    from repro.serve.service import build_instance, resolve_sql
-
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    journal = workdir / "journal.sqlite"
-    checkpoint_root = workdir / "checkpoints"
-    deadline = time.time() + timeout
-
-    # 1. fault-free baselines, single-process, same config the service uses
-    out.write(f"baseline    : extracting {query} x{serve_jobs} inline\n")
-    baselines: dict[int, str] = {}
-    for index in range(serve_jobs):
-        job_seed = seed + index
-        hidden_sql = resolve_sql(
-            JobRequest(workload=workload, query=query, scale=scale, seed=job_seed)
-        )
-        db = build_instance(workload, scale, job_seed)
-        app = SQLExecutable(hidden_sql, obfuscate_text=True, name="baseline")
-        outcome = UnmasqueExtractor(
-            db, app, ExtractionConfig(fail_fast=False)
-        ).extract()
-        baselines[index] = outcome.sql
-
-    # 2. start the server and submit every job
-    server = _Server(journal, checkpoint_root, workers)
-    port = server.wait_ready()
-    out.write(f"serve       : pid {server.proc.pid} on port {port}\n")
-    job_ids: list[str] = []
-    job_index: dict[str, int] = {}
-    for index in range(serve_jobs):
-        reply = _post_json(port, "/jobs", {
-            "workload": workload,
-            "query": query,
-            "scale": scale,
-            "seed": seed + index,
-        })
-        if "job_id" not in reply or reply.get("rejected"):
-            server.kill()
-            raise ExtractionError(f"job submission rejected: {reply}")
-        job_ids.append(reply["job_id"])
-        job_index[reply["job_id"]] = index
-    out.write(f"submitted   : {', '.join(job_ids)}\n")
-
-    # 3. SIGKILL between module boundaries, restart, repeat
-    performed = 0
-    for round_number in range(kills):
-        floor = _progress_count(journal)
-        while time.time() < deadline:
-            states = _job_states(journal, job_ids)
-            if all(s["state"] in ("done", "failed") for s in states.values()):
-                break
-            if _progress_count(journal) > floor:
-                break
-            time.sleep(0.05)
-        states = _job_states(journal, job_ids)
-        if all(s["state"] in ("done", "failed") for s in states.values()):
-            out.write(f"kill {round_number + 1:>2}     : skipped, all jobs terminal\n")
-            break
-        server.kill()
-        performed += 1
-        out.write(f"kill {round_number + 1:>2}     : SIGKILL at progress "
-                  f"{_progress_count(journal)}; restarting\n")
-        server = _Server(journal, checkpoint_root, workers)
-        port = server.wait_ready()
-        out.write(f"restart     : pid {server.proc.pid} on port {port}\n")
-
-    # 4. wait for terminal states, drain gracefully, compare SQL
-    while time.time() < deadline:
-        states = _job_states(journal, job_ids)
-        if len(states) == len(job_ids) and all(
-            s["state"] in ("done", "failed") for s in states.values()
-        ):
-            break
-        if server.proc.poll() is not None:
-            raise ExtractionError(
-                "serve subprocess died while jobs were pending; output:\n"
-                + "".join(server.lines[-20:])
-            )
-        time.sleep(0.1)
-    else:
-        server.kill()
-        raise ExtractionError(f"jobs not terminal within {timeout:.0f}s: "
-                              f"{_job_states(journal, job_ids)}")
-    exit_code = server.terminate()
-
-    states = _job_states(journal, job_ids)
-    mismatches = []
-    for job_id in job_ids:
-        record = states[job_id]
-        expected = baselines[job_index[job_id]]
-        if record["state"] != "done":
-            mismatches.append(
-                {"job_id": job_id, "reason": f"state {record['state']}"}
-            )
-        elif record["sql"] != expected:
-            mismatches.append({
-                "job_id": job_id,
-                "reason": "sql mismatch",
-                "expected": expected,
-                "actual": record["sql"],
-            })
-    return {
-        "jobs": {
-            job_id: {
-                "state": states[job_id]["state"],
-                "attempts": states[job_id]["attempt"],
-                "converged": not any(m["job_id"] == job_id for m in mismatches),
-            }
-            for job_id in job_ids
-        },
-        "kills": performed,
-        "server_exit": exit_code,
-        "converged": not mismatches,
-        "mismatches": mismatches,
-        "journal": str(journal),
-    }

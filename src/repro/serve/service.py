@@ -49,47 +49,16 @@ from repro.serve.journal import JobJournal
 from repro.serve.pressure import MB, MemoryGovernor, estimate_footprint
 from repro.serve.queue import AdmissionQueue
 from repro.serve.tenants import TenantPolicy, TenantRegistry
+from repro.workloads import build_instance, find_query
 
 logger = logging.getLogger("repro.serve")
-
-
-def build_instance(workload: str, scale: float, seed: int):
-    """Deterministically rebuild a job's synthetic database instance."""
-    from repro.datagen import imdb, tpcds, tpch
-
-    if workload == "job":
-        return imdb.build_database(movies=max(50, int(scale * 100_000)), seed=seed)
-    if workload == "tpcds":
-        return tpcds.build_database(sales=max(500, int(scale * 1_000_000)), seed=seed)
-    return tpch.build_database(scale=scale, seed=seed)
 
 
 def resolve_sql(request: JobRequest) -> str:
     """The hidden SQL for a request (named workload query or ad-hoc)."""
     if request.sql:
         return request.sql
-    from repro.workloads import (
-        having_queries,
-        job_queries,
-        regal_queries,
-        tpcds_queries,
-        tpch_queries,
-    )
-
-    module = {
-        "tpch": tpch_queries,
-        "tpcds": tpcds_queries,
-        "job": job_queries,
-        "regal": regal_queries,
-        "having": having_queries,
-    }[request.workload]
-    query = module.QUERIES.get(request.query)
-    if query is None:
-        lowered = request.query.lower()
-        for key, candidate in module.QUERIES.items():
-            if key.lower() == lowered:
-                query = candidate
-                break
+    query = find_query(request.workload, request.query)
     if query is None:
         raise ValueError(
             f"unknown query {request.query!r} in workload {request.workload!r}"

@@ -24,7 +24,7 @@ from repro.engine.sqlast import (
     Expression,
     SelectStatement,
 )
-from repro.engine.symbolic import Atom, JoinAtom, decompose
+from repro.veriq.symbolic import Atom, JoinAtom, decompose
 from repro.errors import ReproError
 
 

@@ -125,7 +125,6 @@ def bounds_from_config(config) -> VerifyBounds:
     return VerifyBounds(
         max_rows=config.certify_rows,
         max_databases=config.certify_databases,
-        max_probes=config.certify_probes,
     )
 
 

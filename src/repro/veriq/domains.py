@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import symbolic
+from repro.veriq import symbolic
 from repro.engine.catalog import Catalog
 from repro.veriq.analyze import ColKey, QueryProfile
 

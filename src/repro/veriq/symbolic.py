@@ -4,7 +4,7 @@ The bounded equivalence checker (:mod:`repro.veriq`) reasons about a query's
 behaviour on *small symbolic databases*: instead of concrete row streams it
 manipulates finite per-column value universes — filter-constant boundaries,
 join-key alphabets, aggregate-separating value pairs — each expressed in the
-column's own SQL type.  This module is the engine-side vocabulary for that
+column's own SQL type.  This module is the verifier's vocabulary for that
 reasoning:
 
 * **atom extraction** — decompose a boolean AST expression into

@@ -46,7 +46,7 @@ from repro.engine import (
     TextType,
     VarcharType,
 )
-from repro.engine import symbolic
+from repro.veriq import symbolic
 from repro.veriq.analyze import ColKey, QueryProfile
 from repro.veriq.domains import VerifyBounds
 

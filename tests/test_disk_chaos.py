@@ -1,14 +1,15 @@
-"""The disk-chaos harness: per-leg cells fast, the full matrix as slow."""
+"""The disk chaos profile: per-leg cells fast, the full matrix as slow."""
 
 import io
 
 import pytest
 
-from repro.resilience.diskchaos import (
+from repro.resilience.chaos import (
     CRASH_CLASSES,
     _journal_leg,
     _ledger_leg,
-    run_disk_chaos,
+    disk_cells,
+    run_matrix,
 )
 from repro.resilience.diskfaults import DISK_FAULT_CLASSES
 
@@ -18,7 +19,7 @@ class TestJournalLeg:
     def test_every_fault_class_survives(self, fault, tmp_path):
         cell = _journal_leg(fault, tmp_path)
         assert cell["ok"], cell["outcome"]
-        assert cell["store"] == "journal"
+        assert cell["site"] == "journal"
         assert cell["fault"] == fault
 
 
@@ -27,7 +28,7 @@ class TestLedgerLeg:
     def test_every_fault_class_survives(self, fault, tmp_path):
         cell = _ledger_leg(fault, tmp_path)
         assert cell["ok"], cell["outcome"]
-        assert cell["store"] == "ledger"
+        assert cell["site"] == "ledger"
 
 
 def test_crash_classes_are_a_subset_of_the_taxonomy():
@@ -38,7 +39,8 @@ def test_crash_classes_are_a_subset_of_the_taxonomy():
 @pytest.mark.slow
 def test_full_matrix_survives_with_byte_identical_sql(tmp_path):
     out = io.StringIO()
-    report = run_disk_chaos("Q6", workdir=tmp_path / "chaos", out=out)
+    report = run_matrix("disk", disk_cells, "Q6", workdir=tmp_path / "chaos",
+                        out=out)
     assert report["survived"], out.getvalue()
     assert len(report["cells"]) == len(DISK_FAULT_CLASSES) * 3
     assert all(cell["ok"] for cell in report["cells"])

@@ -1,4 +1,4 @@
-"""The net-chaos harness: per-fault mid-pipeline cells fast, full matrix slow."""
+"""The net chaos profile: per-fault mid-pipeline cells fast, full matrix slow."""
 
 import io
 
@@ -6,14 +6,15 @@ import pytest
 
 from repro.isolation.agent import WorkerAgent
 from repro.isolation.remote import PeerHealthRegistry
-from repro.resilience.netchaos import (
+from repro.resilience.chaos import (
     FENCING_CLASSES,
     RECONNECT_CLASSES,
-    _extract,
     _fault_cell,
     _remote_config,
-    run_net_chaos,
+    net_cells,
+    run_matrix,
 )
+from repro.resilience.chaos import extract as _extract
 from repro.resilience.netfaults import (
     NET_FAULT_CLASSES,
     NetFaultPlan,
@@ -77,8 +78,9 @@ def test_proof_obligation_classes_are_in_the_taxonomy():
 @pytest.mark.slow
 def test_full_matrix_survives_with_byte_identical_sql(tmp_path):
     out = io.StringIO()
-    report = run_net_chaos(
-        QUERY, scale=SCALE, seed=SEED, workdir=tmp_path / "chaos", out=out
+    report = run_matrix(
+        "net", net_cells, QUERY, scale=SCALE, seed=SEED,
+        workdir=tmp_path / "chaos", out=out,
     )
     assert report["survived"], out.getvalue()
     # one clean cell + every fault class at early/mid/late

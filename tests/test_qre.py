@@ -38,11 +38,12 @@ class TestRegalBaseline:
             "select n_name, count(*) as n from nation, customer "
             "where n_nationkey = c_nationkey group by n_name"
         )
-        target, outcome = run_regal(db, sql, time_budget=60.0)
-        if outcome.completed:  # may legitimately DNC within budget
-            assert db.execute(outcome.sql).same_multiset(target, float_precision=4)
-        else:
-            assert outcome.status.startswith("dnc")
+        # The join + group lattice outgrows a small candidate cap long before
+        # any wall-clock budget: REGAL deterministically does not converge.
+        _, outcome = run_regal(db, sql, time_budget=60.0, candidate_cap=500)
+        assert outcome.status == "dnc_candidates"
+        assert outcome.candidates_validated == 501
+        assert not outcome.completed
 
     def test_timeout_yields_dnc(self, db):
         sql = (
@@ -64,10 +65,12 @@ class TestRegalBaseline:
             "select o_orderpriority, max(o_totalprice) as biggest from orders "
             "where o_totalprice <= 250000 group by o_orderpriority"
         )
-        target, outcome = run_regal(db, sql, time_budget=60.0)
-        if outcome.completed:
-            produced = db.execute(outcome.sql)
-            assert produced.same_multiset(target, float_precision=4)
+        # Instance-induced filters multiply the candidate space: the search
+        # hits the cap without ever recovering the true predicate.
+        _, outcome = run_regal(db, sql, time_budget=60.0, candidate_cap=500)
+        assert outcome.status == "dnc_candidates"
+        assert outcome.candidates_validated == 501
+        assert outcome.sql is None
 
 
 class TestTalosBaseline:
