@@ -2,16 +2,23 @@
 
 The session owns the *silo* — a clone of the user-supplied database instance
 in which all mutations happen (the original is never touched, per §3.2) — and
-funnels every black-box invocation through :meth:`run` / :meth:`run_on`, so
-invocation counts and per-module wall-clock are recorded for the Figure 9
-style breakdowns.
+funnels every black-box invocation through :meth:`ProbeSurface.run` /
+:meth:`ProbeSurface.run_on`, so invocation counts and per-module wall-clock
+are recorded for the Figure 9 style breakdowns.
+
+:class:`ProbeSurface` holds the one definition of every probe method (retry
+loop, attempt charging, sandbox restore, D¹ helpers, metadata helpers).
+:class:`ExtractionSession` extends it; a parallel probe task receives a
+:meth:`~ProbeSurface.fork` of it instead — same methods, a private silo
+replica, and charges taken under the scheduler lock — so the sequential and
+the parallel schedule cannot drift apart.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,7 +76,255 @@ class ExtractionStats:
         return {name: stats.seconds for name, stats in self.modules.items()}
 
 
-class ExtractionSession:
+class ProbeSurface:
+    """The probe methods every caller of the black box goes through.
+
+    Each method here has exactly one definition, used by the session and by
+    every parallel scheduler task.  A subclass (the session) or a
+    :meth:`fork` provides the state they read: ``config``, ``executable``,
+    ``backend``, ``retry``, ``stats``, ``budget``, ``tracer``,
+    ``provenance``, ``silo``, ``d1``, ``key_columns``, ``query``,
+    ``svalue_guards``, ``probe_multiplier``, ``multiplier_table`` and
+    ``_current_module``.  Shared counters and budget charges are taken
+    under ``_lock``: a no-op for the session, the scheduler lock for a fork.
+    """
+
+    _lock = nullcontext()
+
+    #: state a fork shares by reference with the surface it was forked from
+    _FORK_SHARED = (
+        "config",
+        "executable",
+        "backend",
+        "retry",
+        "stats",
+        "budget",
+        "key_columns",
+        "query",
+        "svalue_guards",
+        "probe_multiplier",
+        "multiplier_table",
+        "_current_module",
+    )
+
+    def fork(self, silo: Database, tracer, provenance, lock) -> "ProbeSurface":
+        """A probe surface for one parallel task.
+
+        Built without the session constructor: it shares configuration,
+        statistics, budget and query state by reference, probes ``silo`` (a
+        private replica) against a task-local copy of D¹, records spans,
+        metrics and evidence on the task-local ``tracer`` and
+        ``provenance``, and takes every charge under ``lock``.  It has no
+        ``rng``: parallel tasks must be RNG-free, and the ``AttributeError``
+        catches a violation immediately.
+        """
+        fork = ProbeSurface()
+        for name in self._FORK_SHARED:
+            setattr(fork, name, getattr(self, name))
+        fork.silo = silo
+        fork.d1 = dict(self.d1)
+        fork.tracer = tracer
+        fork.provenance = provenance
+        fork._lock = lock
+        return fork
+
+    # -- black-box invocation ------------------------------------------------
+
+    def run(self, timeout: Optional[float] = None) -> Result:
+        """Invoke the application on the silo's current contents.
+
+        The :class:`~repro.resilience.retry.RetryPolicy` is applied here —
+        the single funnel every pipeline probe passes through — so a
+        transient invocation failure (and, with ``retry_timeouts``, a
+        spurious hang) is re-attempted with exponential backoff before any
+        module ever sees it.  Fatal errors (engine signals like
+        ``UndefinedTableError``) propagate on the first attempt.
+
+        Each attempt is charged before it executes and runs inside a silo
+        sandbox: whatever DML the black box issues — including partial
+        writes cut off by a timeout — is rolled back before the next attempt
+        or before control returns, so probes always observe exactly the
+        state the module set up.
+        """
+        module_stats = self.stats.module(self._current_module)
+        policy = self.retry
+        attempt = 1
+        while True:
+            with self._lock:
+                module_stats.invocations += 1
+                self.budget.charge_invocation()
+            token = self.silo.snapshot()
+            try:
+                result = self._invoke(timeout)
+                if self.provenance.enabled:
+                    self._record_probe_event(result, None)
+                return result
+            except Exception as error:
+                if self.provenance.enabled:
+                    self._record_probe_event(None, error)
+                if isinstance(error, ExecutableTimeoutError):
+                    self._record_timeout()
+                    # A timeout induced by the wall-clock budget (the
+                    # remaining budget was the tightest deadline when the
+                    # worker was killed) must surface as the structured
+                    # BudgetExhausted, not as a retryable hang.
+                    with self._lock:
+                        self.budget.check_wall_clock()
+                if (
+                    policy.max_attempts <= attempt
+                    or not policy.is_retryable(error)
+                ):
+                    raise
+                self._record_retry(error)
+                policy.sleep(policy.backoff(attempt))
+                attempt += 1
+            finally:
+                self.silo.restore(token)
+
+    def _invoke(self, timeout: Optional[float]) -> Result:
+        if self.backend is not None:
+            # Out-of-process: the worker replica arms its own cooperative
+            # deadline and the supervisor enforces the hard one; the local
+            # silo is never executed against.  The supervisor's timeout is
+            # composed tightest-wins with the remaining wall-clock budget so
+            # a hung worker cannot outlive a job deadline by more than
+            # ``kill_grace`` (see resilience/deadlines.py for the full
+            # precedence stack).
+            effective = worker_timeout(
+                timeout,
+                self.budget.remaining_seconds(),
+                self.config.worker_default_timeout,
+            )
+            return self.backend.invoke(self.silo, effective)
+        if timeout is not None:
+            self.silo.deadline = time.perf_counter() + timeout
+            try:
+                return self.executable.run(self.silo, timeout=timeout)
+            finally:
+                self.silo.deadline = None
+        return self.executable.run(self.silo)
+
+    def _record_probe_event(self, result, error) -> None:
+        """One ``probe`` evidence event per logical invocation attempt.
+
+        The cache/fingerprint facts are read back from the invocation info
+        the executable left on the probe database, so no fingerprint is ever
+        computed twice.  Mirrors the exactly-once schedule of
+        ``module_stats.invocations``: retries and memo hits are recorded,
+        nothing else is.
+        """
+        info = getattr(self.silo, "last_invocation", None) or {}
+        self.provenance.probe(
+            self._current_module,
+            rows=result.row_count if result is not None else None,
+            error=type(error).__name__ if error is not None else "",
+            cached=bool(info.get("cached")),
+            isolated=self.backend is not None,
+            db_fingerprint=str(info.get("fingerprint") or ""),
+        )
+
+    def _record_timeout(self) -> None:
+        with self._lock:
+            self.stats.invocation_timeouts += 1
+        if self.tracer.metrics is not None:
+            self.tracer.metrics.counter("invocation_timeouts_total").inc()
+        span = self.tracer.current
+        if span is not None:
+            span.set_tag("timed_out", True)
+
+    def _record_retry(self, error: Exception) -> None:
+        with self._lock:
+            self.stats.retries += 1
+        if self.tracer.metrics is not None:
+            self.tracer.metrics.counter("retries_total").inc()
+        span = self.tracer.current
+        if span is not None:
+            span.tags["retries"] = span.tags.get("retries", 0) + 1
+            span.set_tag("last_retried_error", type(error).__name__)
+
+    def run_on(self, rows_by_table: dict[str, list[tuple]]) -> Result:
+        """Invoke the application on a transient database state.
+
+        ``rows_by_table`` replaces the named tables' contents for the duration
+        of the run; the sandbox restores everything afterwards, so the silo's
+        resident state (usually ``D^1``) is preserved.
+        """
+        with self.silo.sandbox():
+            for name, rows in rows_by_table.items():
+                self._materialize(name, rows)
+            return self.run()
+
+    def _materialize(self, table: str, rows: list[tuple]) -> None:
+        """Install ``rows`` as ``table``'s silo contents, budget-charged."""
+        rows = self._with_multiplier(table, rows)
+        self._charge_cells(table, rows)
+        self.silo.replace_rows(table, rows)
+
+    def _charge_cells(self, table: str, rows: list[tuple]) -> None:
+        """Charge materialized synthetic cells (rows × columns) to the budget."""
+        if self.budget.active and rows:
+            cells = len(rows) * len(self.silo.schema(table).columns)
+            with self._lock:
+                self.budget.charge_cells(cells)
+
+    def _with_multiplier(self, table: str, rows: list[tuple]) -> list[tuple]:
+        if self.probe_multiplier > 1 and table.lower() == self.multiplier_table:
+            return list(rows) * self.probe_multiplier
+        return rows
+
+    def run_on_d1_mutation(
+        self, table: str, mutations: dict[str, object]
+    ) -> Result:
+        """Run against ``D^1`` with some columns of one table's row replaced."""
+        return self.run_on({table.lower(): [self._mutated_d1_row(table, mutations)]})
+
+    def _mutated_d1_row(self, table: str, mutations: dict[str, object]) -> tuple:
+        schema = self.silo.schema(table)
+        row = list(self.d1[table.lower()])
+        for column, value in mutations.items():
+            row[schema.column_index(column)] = value
+        return tuple(row)
+
+    # -- D^1 helpers ---------------------------------------------------------
+
+    def d1_value(self, column: ColumnNode):
+        schema = self.silo.schema(column.table)
+        return self.d1[column.table][schema.column_index(column.column)]
+
+    def update_d1(self, table: str, mutations: dict[str, object]) -> None:
+        """Persistently mutate ``D^1`` (used when refreshing s-values).
+
+        On a fork the mutation is task-local; the scheduler folds it back
+        into the session in submission order.
+        """
+        row = self._mutated_d1_row(table, mutations)
+        self.d1[table.lower()] = row
+        self._materialize(table, [row])
+
+    # -- metadata helpers ---------------------------------------------------
+
+    def is_key_column(self, column: ColumnNode) -> bool:
+        return column.column in self.key_columns.get(column.table, set())
+
+    def table_columns(self, table: str) -> list[ColumnNode]:
+        schema = self.silo.schema(table)
+        return [ColumnNode(table.lower(), col.name.lower()) for col in schema.columns]
+
+    def nonkey_columns(self, table: str) -> list[ColumnNode]:
+        return [c for c in self.table_columns(table) if not self.is_key_column(c)]
+
+    def column_type(self, column: ColumnNode):
+        return self.silo.schema(column.table).column(column.column).type
+
+    def column_domain(self, column: ColumnNode) -> NumericDomain:
+        col_type = self.column_type(column)
+        domain = getattr(col_type, "domain", None)
+        if domain is None:
+            raise ValueError(f"column {column} has no numeric domain")
+        return domain
+
+
+class ExtractionSession(ProbeSurface):
     """Shared context threaded through all pipeline modules."""
 
     def __init__(
@@ -209,7 +464,7 @@ class ExtractionSession:
                     "(host:port worker-agent addresses)"
                 )
             self.backend = ProcessIsolationBackend(
-                executable, config, tracer=self.tracer, budget=self.budget
+                executable, config, tracer=self.tracer
             )
         elif config.isolate != "none":
             raise ExtractionError(
@@ -290,80 +545,6 @@ class ExtractionSession:
             # ledger keeps the history up to the module it died in.
             self.provenance.flush()
 
-    # -- black-box invocation ------------------------------------------------
-
-    def run(self, timeout: Optional[float] = None) -> Result:
-        """Invoke the application on the silo's current contents.
-
-        The session's :class:`~repro.resilience.retry.RetryPolicy` is applied
-        here — the single funnel every pipeline probe passes through — so a
-        transient invocation failure (and, with ``retry_timeouts``, a
-        spurious hang) is re-attempted with exponential backoff before any
-        module ever sees it.  Fatal errors (engine signals like
-        ``UndefinedTableError``) propagate on the first attempt.
-
-        Each attempt runs inside a silo sandbox: whatever DML the black box
-        issues — including partial writes cut off by a timeout — is rolled
-        back before the next attempt or before control returns, so probes
-        always observe exactly the state the module set up.
-        """
-        module_stats = self.stats.module(self._current_module)
-        policy = self.retry
-        attempt = 1
-        while True:
-            module_stats.invocations += 1
-            self.budget.charge_invocation()
-            token = self.silo.snapshot()
-            try:
-                result = self._invoke(timeout)
-                if self.provenance.enabled:
-                    self._record_probe_event(result, None)
-                return result
-            except Exception as error:
-                if self.provenance.enabled:
-                    self._record_probe_event(None, error)
-                timed_out = isinstance(error, ExecutableTimeoutError)
-                if timed_out:
-                    self._record_timeout()
-                    # A timeout induced by the wall-clock budget (the
-                    # remaining budget was the tightest deadline when the
-                    # worker was killed) must surface as the structured
-                    # BudgetExhausted, not as a retryable hang.
-                    self.budget.check_wall_clock()
-                if (
-                    policy.max_attempts <= attempt
-                    or not policy.is_retryable(error)
-                ):
-                    raise
-                self._record_retry(attempt, error)
-                policy.sleep(policy.backoff(attempt))
-                attempt += 1
-            finally:
-                self.silo.restore(token)
-
-    def _invoke(self, timeout: Optional[float]) -> Result:
-        if self.backend is not None:
-            # Out-of-process: the worker replica arms its own cooperative
-            # deadline and the supervisor enforces the hard one; the local
-            # silo is never executed against.  The supervisor's timeout is
-            # composed tightest-wins with the remaining wall-clock budget so
-            # a hung worker cannot outlive a job deadline by more than
-            # ``kill_grace`` (see resilience/deadlines.py for the full
-            # precedence stack).
-            effective = worker_timeout(
-                timeout,
-                self.budget.remaining_seconds(),
-                self.config.worker_default_timeout,
-            )
-            return self.backend.invoke(self.silo, effective)
-        if timeout is not None:
-            self.silo.deadline = time.perf_counter() + timeout
-            try:
-                return self.executable.run(self.silo, timeout=timeout)
-            finally:
-                self.silo.deadline = None
-        return self.executable.run(self.silo)
-
     def close(self) -> None:
         """Release external resources (worker processes); idempotent.
 
@@ -402,104 +583,13 @@ class ExtractionSession:
             "rss_peak_bytes": pool.stats.rss_peak_bytes,
         }
 
-    def _record_probe_event(self, result, error) -> None:
-        """One ``probe`` evidence event per logical invocation attempt.
-
-        The cache/fingerprint facts are read back from the invocation info
-        the executable left on the probe database, so no fingerprint is ever
-        computed twice.  Mirrors the exactly-once schedule of
-        ``module_stats.invocations``: retries and memo hits are recorded,
-        nothing else is.
-        """
-        info = getattr(self.silo, "last_invocation", None) or {}
-        self.provenance.probe(
-            self._current_module,
-            rows=result.row_count if result is not None else None,
-            error=type(error).__name__ if error is not None else "",
-            cached=bool(info.get("cached")),
-            isolated=self.backend is not None,
-            db_fingerprint=str(info.get("fingerprint") or ""),
-        )
-
-    def _record_timeout(self) -> None:
-        self.stats.invocation_timeouts += 1
-        if self.tracer.metrics is not None:
-            self.tracer.metrics.counter("invocation_timeouts_total").inc()
-        if self.tracer.enabled:
-            span = self.tracer.current
-            if span is not None:
-                span.set_tag("timed_out", True)
-
-    def _record_retry(self, attempt: int, error: Exception) -> None:
-        self.stats.retries += 1
-        if self.tracer.metrics is not None:
-            self.tracer.metrics.counter("retries_total").inc()
-        if self.tracer.enabled:
-            span = self.tracer.current
-            if span is not None:
-                span.tags["retries"] = span.tags.get("retries", 0) + 1
-                span.set_tag("last_retried_error", type(error).__name__)
-
-    def run_on(self, rows_by_table: dict[str, list[tuple]]) -> Result:
-        """Invoke the application on a transient database state.
-
-        ``rows_by_table`` replaces the named tables' contents for the duration
-        of the run; the sandbox restores everything afterwards, so the silo's
-        resident state (usually ``D^1``) is preserved.
-        """
-        with self.silo.sandbox():
-            for name, rows in rows_by_table.items():
-                rows = self._with_multiplier(name, rows)
-                self._charge_cells(name, rows)
-                self.silo.replace_rows(name, rows)
-            return self.run()
-
-    def _charge_cells(self, table: str, rows: list[tuple]) -> None:
-        """Charge materialized synthetic cells (rows × columns) to the budget."""
-        if self.budget.active and rows:
-            self.budget.charge_cells(
-                len(rows) * len(self.silo.schema(table).columns)
-            )
-
-    def _with_multiplier(self, table: str, rows: list[tuple]) -> list[tuple]:
-        if self.probe_multiplier > 1 and table.lower() == self.multiplier_table:
-            return list(rows) * self.probe_multiplier
-        return rows
-
-    def run_on_d1_mutation(
-        self, table: str, mutations: dict[str, object]
-    ) -> Result:
-        """Run against ``D^1`` with some columns of one table's row replaced."""
-        schema = self.silo.schema(table)
-        row = list(self.d1[table.lower()])
-        for column, value in mutations.items():
-            row[schema.column_index(column)] = value
-        return self.run_on({table.lower(): [tuple(row)]})
-
     # -- D^1 helpers ---------------------------------------------------------
 
     def set_d1(self, rows_by_table: dict[str, tuple]) -> None:
         """Install the single-row minimal database into the silo."""
         self.d1 = {name.lower(): row for name, row in rows_by_table.items()}
         for name, row in self.d1.items():
-            rows = self._with_multiplier(name, [row])
-            self._charge_cells(name, rows)
-            self.silo.replace_rows(name, rows)
-
-    def d1_value(self, column: ColumnNode):
-        schema = self.silo.schema(column.table)
-        return self.d1[column.table][schema.column_index(column.column)]
-
-    def update_d1(self, table: str, mutations: dict[str, object]) -> None:
-        """Persistently mutate ``D^1`` (used when refreshing s-values)."""
-        schema = self.silo.schema(table)
-        row = list(self.d1[table.lower()])
-        for column, value in mutations.items():
-            row[schema.column_index(column)] = value
-        self.d1[table.lower()] = tuple(row)
-        rows = self._with_multiplier(table, [tuple(row)])
-        self._charge_cells(table, rows)
-        self.silo.replace_rows(table, rows)
+            self._materialize(name, [row])
 
     # -- sandbox invariant ---------------------------------------------------
 
@@ -526,28 +616,6 @@ class ExtractionSession:
     def silo_matches_di(self) -> bool:
         """True when the live silo is byte-identical to D_I."""
         return self.silo.fingerprint() == self.di_fingerprint
-
-    # -- metadata helpers ---------------------------------------------------
-
-    def is_key_column(self, column: ColumnNode) -> bool:
-        return column.column in self.key_columns.get(column.table, set())
-
-    def table_columns(self, table: str) -> list[ColumnNode]:
-        schema = self.silo.schema(table)
-        return [ColumnNode(table.lower(), col.name.lower()) for col in schema.columns]
-
-    def nonkey_columns(self, table: str) -> list[ColumnNode]:
-        return [c for c in self.table_columns(table) if not self.is_key_column(c)]
-
-    def column_type(self, column: ColumnNode):
-        return self.silo.schema(column.table).column(column.column).type
-
-    def column_domain(self, column: ColumnNode) -> NumericDomain:
-        col_type = self.column_type(column)
-        domain = getattr(col_type, "domain", None)
-        if domain is None:
-            raise ValueError(f"column {column} has no numeric domain")
-        return domain
 
     def all_query_columns(self) -> list[ColumnNode]:
         columns: list[ColumnNode] = []

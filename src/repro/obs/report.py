@@ -138,7 +138,9 @@ def _module_table(spans: list[Span], children: dict) -> list[str]:
             order.append(span.name)
         row["wall"] += span.duration
         row["busy"] += busy
-        row["invocations"] += sum(1 for c in kids if c.kind == "invocation")
+        row["invocations"] += sum(
+            1 for c in kids if c.kind in ("invocation", "worker")
+        )
     if not modules:
         return []
     lines = ["per-module self-time", "-" * 20]

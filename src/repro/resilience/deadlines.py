@@ -10,9 +10,9 @@ multi-tenant service composes all of them at once:
    max_seconds`; enforced cooperatively by the engine's deadline poll
    (:class:`~repro.errors.BudgetExhausted` is the structured outcome).
 3. **Cooperative invocation timeout** — the per-invocation ``timeout`` a
-   module passes to :meth:`ExtractionSession.run` (e.g. the From-clause
-   extractor's probe timeout); arms the engine deadline inside the
-   invocation and rolls partial DML back.
+   module passes to :meth:`~repro.core.session.ProbeSurface.run` (e.g. the
+   From-clause extractor's probe timeout); arms the engine deadline inside
+   the invocation and rolls partial DML back.
 4. **Worker SIGKILL deadline** — under ``--isolate process`` the supervisor
    kills a worker that has not replied by *cooperative timeout* +
    ``kill_grace`` (or ``worker_default_timeout`` + ``kill_grace`` when no

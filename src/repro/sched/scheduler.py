@@ -18,13 +18,15 @@ Two execution shapes are offered:
 
 ``map(items, task)``
     Fan a batch of independent probe tasks across ``jobs`` threads.  Each
-    task receives a :class:`_ParallelProbeContext` — a duck-typed stand-in
-    for the session exposing the probe surface (``run`` / ``run_on`` /
-    ``run_on_d1_mutation`` / ``d1_value`` / ``update_d1`` / metadata
-    helpers) backed by a private replica of the silo built from one shared
-    snapshot.  Results, metric deltas, span records, and persistent D¹
-    updates are folded back on the main thread in submission order, so
-    the observable outcome is order-independent.
+    task receives a *fork* of the session's probe surface
+    (:meth:`~repro.core.session.ProbeSurface.fork`): the very same ``run`` /
+    ``run_on`` / ``run_on_d1_mutation`` / ``d1_value`` / ``update_d1`` /
+    metadata helpers the session uses, over a private replica of the silo
+    built from one shared snapshot, a task-local tracer, metrics registry
+    and evidence recorder, and with every charge taken under the scheduler
+    lock.  Spans, metric deltas, evidence, and persistent D¹ updates are
+    folded back on the main thread in submission order, so the observable
+    outcome is order-independent.
 
 ``run_chain(state, pick_probe)``
     Resolve the minimizer's *sequential* halving chain.  Each link has only
@@ -50,7 +52,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.engine.database import Database
-from repro.errors import ExecutableTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import NULL_PROVENANCE, ProvenanceRecorder
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -75,8 +76,9 @@ class SchedulerStats:
 class _LockedBudget:
     """Serialises worker-thread budget charges onto the shared budget.
 
-    Only the two entry points the engine calls during query execution are
-    exposed; everything else about the budget stays main-thread-only.
+    The budget of a task's silo replica: only the two entry points the
+    engine (and the isolation backend) call during an invocation are
+    exposed; the probe surface takes its own charges under the same lock.
     """
 
     __slots__ = ("_budget", "_lock")
@@ -111,285 +113,22 @@ class _RowsCollector:
         pass
 
 
-class _BatchState:
-    """Shared mutable state of one parallel ``map`` batch."""
+class _TaskTracer(Tracer):
+    """Task-local tracer that keeps only the task's top-level spans.
 
-    __slots__ = (
-        "scheduler",
-        "session",
-        "module_stats",
-        "module_name",
-        "locked_budget",
-        "attempts",
-        "timeouts",
-        "retries",
-    )
-
-    def __init__(self, scheduler: "ProbeScheduler", module_stats):
-        self.scheduler = scheduler
-        self.session = scheduler.session
-        self.module_stats = module_stats
-        self.module_name = scheduler.session._current_module
-        budget = self.session.budget
-        self.locked_budget = (
-            _LockedBudget(budget, scheduler._lock) if budget.active else None
-        )
-        self.attempts = 0
-        self.timeouts = 0
-        self.retries = 0
-
-    def charge_attempt(self) -> None:
-        """One logical invocation attempt, charged under the scheduler lock
-        exactly where the sequential ``session.run`` would charge it —
-        before the physical execution."""
-        with self.scheduler._lock:
-            self.module_stats.invocations += 1
-            self.session.budget.charge_invocation()
-            self.attempts += 1
-
-    def charge_cells(self, table: str, rows) -> None:
-        session = self.session
-        if session.budget.active and rows:
-            cells = len(rows) * len(session.silo.schema(table).columns)
-            with self.scheduler._lock:
-                session.budget.charge_cells(cells)
-
-    def note_timeout(self) -> None:
-        with self.scheduler._lock:
-            self.session.stats.invocation_timeouts += 1
-            self.timeouts += 1
-
-    def note_retry(self) -> None:
-        with self.scheduler._lock:
-            self.session.stats.retries += 1
-            self.retries += 1
-
-
-class _ParallelProbeContext:
-    """Session stand-in handed to a parallel probe task.
-
-    Exposes the read/probe surface the per-column and per-unit extraction
-    helpers use.  Probes execute against a private replica of the silo
-    (sharing the plan cache and catalog-version clock with the real one),
-    so concurrent tasks never contend on database state.  Deliberately
-    absent: ``rng`` — parallel tasks must be RNG-free, and an attribute
-    error here catches a violation immediately.
+    Worker threads must not touch the session tracer's span stack, so each
+    task traces into its own; the finished invocation (or ``worker``) spans
+    are recorded on the session tracer afterwards, in submission order.
+    Engine spans nested beneath them are dropped.
     """
 
-    def __init__(self, batch: _BatchState, base_snapshot):
-        session = batch.session
-        self._batch = batch
-        self._session = session
-        self.config = session.config
-        self.query = session.query
-        self.probe_multiplier = session.probe_multiplier
-        self.multiplier_table = session.multiplier_table
-        self.svalue_guards = session.svalue_guards
-        #: task-local D¹ view; persistent updates are replayed onto the real
-        #: session afterwards, in submission order
-        self.d1 = dict(session.d1)
-        self.d1_updates: list[tuple[str, dict]] = []
-        #: finished-invocation spans, recorded post-hoc on the main tracer
-        self.span_records: list[tuple] = []
-        #: task-local evidence recorder; folded into the session's in
-        #: submission order so evidence stays exactly-once and deterministic
-        self.provenance = (
-            ProvenanceRecorder()
-            if session.provenance.enabled
-            else NULL_PROVENANCE
-        )
-        self.registry: Optional[MetricsRegistry] = None
-        if session.tracer.enabled:
-            if session.tracer.metrics is not None:
-                self.registry = MetricsRegistry()
-            tracer = Tracer(metrics=self.registry, keep_spans=False)
-        else:
-            tracer = NULL_TRACER
-        self.db = Database.from_snapshot(
-            base_snapshot,
-            plan_cache=session.silo.plan_cache,
-            clock=session.silo._clock,
-        )
-        self.db.tracer = tracer
-        if batch.locked_budget is not None:
-            self.db.budget = batch.locked_budget
+    def __init__(self, metrics):
+        super().__init__(metrics=metrics, keep_spans=False)
 
-    # -- silo / metadata surface (delegates read-only session state) --------
-
-    @property
-    def silo(self) -> Database:
-        return self.db
-
-    def is_key_column(self, column) -> bool:
-        return self._session.is_key_column(column)
-
-    def table_columns(self, table: str):
-        return self._session.table_columns(table)
-
-    def nonkey_columns(self, table: str):
-        return self._session.nonkey_columns(table)
-
-    def column_type(self, column):
-        return self._session.column_type(column)
-
-    def column_domain(self, column):
-        return self._session.column_domain(column)
-
-    def d1_value(self, column):
-        schema = self.db.schema(column.table)
-        return self.d1[column.table][schema.column_index(column.column)]
-
-    def _with_multiplier(self, table: str, rows):
-        if self.probe_multiplier > 1 and table.lower() == self.multiplier_table:
-            return list(rows) * self.probe_multiplier
-        return rows
-
-    def update_d1(self, table: str, mutations: dict) -> None:
-        """Task-locally mutate D¹ (visible to this task's later probes) and
-        queue the mutation for deterministic replay on the real session.
-
-        Cell-budget charging happens at replay time — via the session's own
-        ``update_d1`` — so the charge lands exactly once.
-        """
-        schema = self.db.schema(table)
-        row = list(self.d1[table.lower()])
-        for column, value in mutations.items():
-            row[schema.column_index(column)] = value
-        self.d1[table.lower()] = tuple(row)
-        self.db.replace_rows(
-            table, self._with_multiplier(table, [tuple(row)])
-        )
-        self.d1_updates.append((table, dict(mutations)))
-
-    # -- probe surface -------------------------------------------------------
-
-    def run(self, timeout: Optional[float] = None):
-        """Mirror of ``ExtractionSession.run`` against the private replica:
-        same retry policy, same per-attempt charging order, same sandbox
-        semantics — only the accounting funnels through the batch lock."""
-        session, batch = self._session, self._batch
-        policy = session.retry
-        attempt = 1
-        while True:
-            batch.charge_attempt()
-            token = self.db.snapshot()
-            started = time.perf_counter()
-            db_rows = self.db.total_rows()
-            error: Optional[Exception] = None
-            try:
-                result = self._invoke(timeout)
-                if self.provenance.enabled:
-                    self._record_probe_event(result, None)
-                return result
-            except Exception as exc:
-                error = exc
-                if self.provenance.enabled:
-                    self._record_probe_event(None, exc)
-                timed_out = isinstance(exc, ExecutableTimeoutError)
-                if timed_out:
-                    batch.note_timeout()
-                if policy.max_attempts <= attempt or not policy.is_retryable(
-                    exc
-                ):
-                    raise
-                batch.note_retry()
-                policy.sleep(policy.backoff(attempt))
-                attempt += 1
-            finally:
-                self._note_span(started, db_rows, error)
-                self.db.restore(token)
-
-    def _record_probe_event(self, result, error) -> None:
-        """Task-local mirror of ``ExtractionSession._record_probe_event``."""
-        info = getattr(self.db, "last_invocation", None) or {}
-        self.provenance.probe(
-            self._batch.module_name,
-            rows=result.row_count if result is not None else None,
-            error=type(error).__name__ if error is not None else "",
-            cached=bool(info.get("cached")),
-            isolated=self._session.backend is not None,
-            db_fingerprint=str(info.get("fingerprint") or ""),
-        )
-
-    def _invoke(self, timeout: Optional[float]):
-        session = self._session
-        if session.backend is not None:
-            return self._invoke_backend(timeout)
-        if timeout is not None:
-            self.db.deadline = time.perf_counter() + timeout
-            try:
-                return session.executable.run(self.db, timeout=timeout)
-            finally:
-                self.db.deadline = None
-        return session.executable.run(self.db)
-
-    def _invoke_backend(self, timeout: Optional[float]):
-        """Out-of-process invocation from a worker thread.
-
-        The backend's thread-safe ``invoke_reply`` does transport only; the
-        per-invocation executable counters and metrics the sequential
-        ``invoke`` would have recorded are applied here so totals match.
-        """
-        session = self._session
-        executable = session.executable
-        started = time.perf_counter()
-        try:
-            reply = session.backend.invoke_reply(self.db, timeout)
-        finally:
-            elapsed = time.perf_counter() - started
-            with executable._counter_lock:
-                executable.invocation_count += 1
-                executable.total_runtime += elapsed
-            if self.registry is not None:
-                self.registry.counter("invocations_total").inc()
-                self.registry.histogram(
-                    "invocation_latency_seconds"
-                ).observe(elapsed)
-        stats = reply.get("stats") or {}
-        rows_scanned = int(stats.get("rows_scanned", 0) or 0)
-        if self._batch.locked_budget is not None and rows_scanned:
-            self._batch.locked_budget.charge_rows_scanned(rows_scanned)
-        if not reply["ok"]:
-            raise reply["error"]
-        return reply["result"]
-
-    def run_on(self, rows_by_table: dict):
-        with self.db.sandbox():
-            for name, rows in rows_by_table.items():
-                rows = self._with_multiplier(name, rows)
-                self._batch.charge_cells(name, rows)
-                self.db.replace_rows(name, rows)
-            return self.run()
-
-    def run_on_d1_mutation(self, table: str, mutations: dict):
-        schema = self.db.schema(table)
-        row = list(self.d1[table.lower()])
-        for column, value in mutations.items():
-            row[schema.column_index(column)] = value
-        return self.run_on({table.lower(): [tuple(row)]})
-
-    # -- post-hoc trace material --------------------------------------------
-
-    def _note_span(self, started, db_rows, error) -> None:
-        if not self._session.tracer.enabled:
-            return
-        tags = {
-            "executable": self._session.executable.name,
-            "db_rows": db_rows,
-            "parallel": True,
-        }
-        if error is not None:
-            tags["error"] = type(error).__name__
-            if isinstance(error, ExecutableTimeoutError):
-                tags["timed_out"] = True
-        self.span_records.append(
-            (
-                self._session.executable.name,
-                started,
-                time.perf_counter(),
-                tags,
-            )
-        )
+    def _finish(self, span) -> None:
+        super()._finish(span)
+        if span.parent_id is None:
+            self.spans.append(span)
 
 
 class _ChainNode:
@@ -465,19 +204,23 @@ class ProbeScheduler:
         items = list(items)
         if not self.parallel or len(items) <= 1:
             return [task(self.session, item) for item in items]
-        return self._map_parallel(items, task, label)
+        return self._map_parallel(items, task)
 
-    def _map_parallel(self, items: list, task: Callable, label: str) -> list:
+    def _map_parallel(self, items: list, task: Callable) -> list:
         session = self.session
         # A deadline-expired run must not fan a whole batch of doomed probes
         # out to the pool; fail with the structured BudgetExhausted before
         # dispatching rather than after the slowest straggler returns.
         session.budget.check_wall_clock()
-        module_stats = session.stats.module(session._current_module)
-        batch = _BatchState(self, module_stats)
+        stats = session.stats
+        before = (
+            stats.module(session._current_module).invocations,
+            stats.invocation_timeouts,
+            stats.retries,
+        )
         base = session.silo.snapshot()
         executor = self._ensure_executor()
-        contexts = [_ParallelProbeContext(batch, base) for _ in items]
+        forks = [self._fork(base) for _ in items]
 
         def _guarded(ctx, item):
             try:
@@ -487,10 +230,10 @@ class ProbeScheduler:
 
         futures = [
             executor.submit(_guarded, ctx, item)
-            for ctx, item in zip(contexts, items)
+            for ctx, item in zip(forks, items)
         ]
         outcomes = [future.result() for future in futures]
-        self._finalize_batch(batch, contexts, label)
+        self._finalize_batch(forks, before)
         results = []
         first_error: Optional[Exception] = None
         for ok, value in outcomes:
@@ -502,39 +245,81 @@ class ProbeScheduler:
             raise first_error
         return results
 
-    def _finalize_batch(self, batch, contexts, label) -> None:
-        """Fold per-task side effects back in submission order (main thread)."""
+    def _fork(self, base):
+        """The session's probe surface over a private replica of ``base``."""
+        session = self.session
+        tracer = NULL_TRACER
+        if session.tracer.enabled:
+            tracer = _TaskTracer(
+                MetricsRegistry() if session.tracer.metrics is not None else None
+            )
+        replica = Database.from_snapshot(
+            base,
+            plan_cache=session.silo.plan_cache,
+            clock=session.silo._clock,
+        )
+        replica.tracer = tracer
+        if session.budget.active:
+            replica.budget = _LockedBudget(session.budget, self._lock)
+        provenance = (
+            ProvenanceRecorder() if session.provenance.enabled else NULL_PROVENANCE
+        )
+        return session.fork(replica, tracer, provenance, self._lock)
+
+    def _finalize_batch(self, forks, before) -> None:
+        """Fold per-task side effects back in submission order (main thread).
+
+        ``before`` holds the module's invocation count and the session's
+        timeout and retry counts from before the batch: the forks charged
+        the shared counters directly, so the deltas are the batch's own.
+        """
         session = self.session
         tracer = session.tracer
-        for ctx in contexts:
-            if ctx.registry is not None:
-                tracer.metrics.merge(ctx.registry)
-            if tracer.enabled:
-                for name, started, ended, tags in ctx.span_records:
-                    tracer.record(
-                        name, kind="invocation", start=started, end=ended,
-                        tags=tags,
-                    )
-            if ctx.provenance.enabled:
-                session.provenance.absorb(ctx.provenance)
-            for table, mutations in ctx.d1_updates:
-                session.update_d1(table, mutations)
+        d1 = dict(session.d1)
+        for fork in forks:
+            if fork.tracer.metrics is not None:
+                tracer.metrics.merge(fork.tracer.metrics)
+            for span in fork.tracer.spans:
+                tracer.record(
+                    span.name,
+                    kind=span.kind,
+                    start=span.start,
+                    end=span.end,
+                    tags={**span.tags, "parallel": True},
+                )
+            if fork.provenance.enabled:
+                session.provenance.absorb(fork.provenance)
+            # Persistent D¹ updates (cells already charged by the fork),
+            # replayed column-wise onto the session's D¹.
+            for table, row in fork.d1.items():
+                if row is d1[table]:
+                    continue
+                merged = tuple(
+                    new if new != old else current
+                    for current, old, new in zip(session.d1[table], d1[table], row)
+                )
+                session.d1[table] = merged
+                session.silo.replace_rows(
+                    table, session._with_multiplier(table, [merged])
+                )
+        stats = session.stats
+        invocations, timeouts, retries = before
+        attempts = stats.module(session._current_module).invocations - invocations
         self.stats.batches += 1
-        self.stats.parallel_probes += batch.attempts
+        self.stats.parallel_probes += attempts
         if tracer.metrics is not None:
             tracer.metrics.counter("scheduler_batches_total").inc()
             tracer.metrics.counter("scheduler_parallel_probes_total").inc(
-                batch.attempts
+                attempts
             )
-        if tracer.enabled:
-            span = tracer.current
-            if span is not None:
-                if batch.timeouts:
-                    span.set_tag("timed_out", True)
-                if batch.retries:
-                    span.tags["retries"] = (
-                        span.tags.get("retries", 0) + batch.retries
-                    )
+        span = tracer.current
+        if span is not None:
+            if stats.invocation_timeouts > timeouts:
+                span.set_tag("timed_out", True)
+            if stats.retries > retries:
+                span.tags["retries"] = (
+                    span.tags.get("retries", 0) + stats.retries - retries
+                )
 
     # -- sequential halving chains -------------------------------------------
 

@@ -45,30 +45,45 @@ def chaos_extract(db, sql, plan, tracer=None, checkpoint_dir=None, **config_kwar
 
 
 class TestChaosSurvival:
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("name", ["Q3", "Q4"])
-    def test_transient_faults_yield_identical_sql(self, tpch_db, name):
+    def test_transient_faults_yield_identical_sql(self, tpch_db, name, jobs):
         sql = tpch_queries.QUERIES[name].sql
         clean = clean_extract(tpch_db, sql)
         plan = FAULT_PROFILES["transient"].with_seed(CHAOS_SEED)
         metrics = MetricsRegistry()
         tracer = Tracer(metrics=metrics, keep_spans=False)
-        chaotic, app = chaos_extract(tpch_db, sql, plan, tracer=tracer)
+        chaotic, app = chaos_extract(tpch_db, sql, plan, tracer=tracer, jobs=jobs)
 
         assert chaotic.sql == clean.sql
         assert app.injected["transient"] > 0
         assert chaotic.stats.retries >= app.injected["transient"]
+        # parallel probe tasks fold their metric increments back, so the
+        # counters match the stats at every jobs level
         assert metrics.counter("retries_total").value == chaotic.stats.retries
+        assert (
+            metrics.counter("invocation_timeouts_total").value
+            == chaotic.stats.invocation_timeouts
+        )
         assert not chaotic.degradations
 
-    def test_timeout_faults_survive_with_retry_timeouts(self, tpch_db):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timeout_faults_survive_with_retry_timeouts(self, tpch_db, jobs):
         sql = tpch_queries.QUERIES["Q4"].sql
         clean = clean_extract(tpch_db, sql)
         plan = FAULT_PROFILES["timeouts"].with_seed(CHAOS_SEED)
-        chaotic, app = chaos_extract(tpch_db, sql, plan)
+        metrics = MetricsRegistry()
+        tracer = Tracer(metrics=metrics, keep_spans=False)
+        chaotic, app = chaos_extract(tpch_db, sql, plan, tracer=tracer, jobs=jobs)
 
         assert chaotic.sql == clean.sql
         assert app.injected["timeout"] > 0
         assert chaotic.stats.invocation_timeouts >= app.injected["timeout"]
+        assert (
+            metrics.counter("invocation_timeouts_total").value
+            == chaotic.stats.invocation_timeouts
+        )
+        assert metrics.counter("retries_total").value == chaotic.stats.retries
 
     def test_chaos_is_deterministic_per_seed(self, tpch_db):
         sql = tpch_queries.QUERIES["Q4"].sql

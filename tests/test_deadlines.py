@@ -5,6 +5,8 @@ invocation timeout → worker SIGKILL deadline, composed tightest-wins by
 :mod:`repro.resilience.deadlines`.
 """
 
+import time
+
 import pytest
 
 from repro.resilience.budgets import BudgetSpec, ResourceBudget
@@ -181,3 +183,32 @@ class TestSessionComposition:
         finally:
             session.backend = None
             session.close()
+
+    def test_parallel_isolated_probe_killed_within_budget(self, tiny_tpch_db):
+        """A hung worker in a parallel isolated batch is killed on the
+        wall-clock budget, not on the much looser worker default."""
+        from repro.core.config import ExtractionConfig
+        from repro.core.session import ExtractionSession
+        from repro.errors import BudgetExhausted
+        from tests.isolation_workloads import BusyLooper
+
+        budget, grace, slack = 2.0, 0.5, 2.0
+        config = ExtractionConfig(
+            isolate="process",
+            jobs=2,
+            budget_seconds=budget,
+            worker_default_timeout=12.0,
+            worker_kill_grace=grace,
+            retry_max_attempts=1,
+        )
+        session = ExtractionSession(tiny_tpch_db, BusyLooper(), config)
+        try:
+            session.budget.start()
+            started = time.perf_counter()
+            with pytest.raises(BudgetExhausted):
+                with session.module("filters"):
+                    session.scheduler.map([0, 1], lambda ctx, item: ctx.run())
+            elapsed = time.perf_counter() - started
+        finally:
+            session.close()
+        assert elapsed < budget + grace + slack

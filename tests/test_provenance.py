@@ -290,6 +290,24 @@ class TestReportSelfTime:
         assert "2.0000s" in module_line
         assert "-" not in module_line.replace("self-time", "")
 
+    def test_isolated_worker_spans_count_as_invocations(self):
+        """Under ``--isolate`` an invocation is a ``worker`` span."""
+        from repro.obs.report import render_trace_report
+
+        spans = [
+            self._span(1, None, "extraction", "pipeline", 0.0, 10.0),
+            self._span(2, 1, "filters", "module", 0.0, 10.0),
+            self._span(3, 2, "app", "worker", 1.0, 2.0),
+            self._span(4, 2, "app", "worker", 2.0, 3.0),
+            self._span(5, 2, "app", "invocation", 3.0, 4.0),
+        ]
+        module_line = next(
+            line
+            for line in render_trace_report(spans).splitlines()
+            if line.startswith("filters")
+        )
+        assert module_line.split()[-1] == "3"
+
     def test_disjoint_children_equivalent_to_sum(self):
         from repro.obs.report import _interval_union
 

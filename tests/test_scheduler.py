@@ -65,6 +65,25 @@ class TestMap:
         assert session.scheduler.stats.batches == 0
         session.close()
 
+    def test_parallel_tasks_get_an_rng_free_fork(self, tiny_tpch_db):
+        """A real parallel batch hands each task a fork of the probe
+        surface, never the session, and the fork has no rng."""
+        session = make_session(tiny_tpch_db, Q6, jobs=2)
+        minimize(session)
+        seen = []
+
+        def task(ctx, item):
+            seen.append(ctx is session)
+            with pytest.raises(AttributeError):
+                ctx.rng
+            return ctx.run().row_count
+
+        with session.module("filters"):
+            session.scheduler.map([0, 1], task)
+        assert seen == [False, False]
+        assert session.scheduler.stats.batches == 1
+        session.close()
+
     def test_first_error_in_item_order_wins(self, tiny_tpch_db):
         """Later items may fail earlier in wall-clock; the earliest *item's*
         error is the one re-raised, matching a sequential schedule."""
