@@ -183,22 +183,7 @@ def run_extraction_bench(
             if jobs == top_jobs:
                 top_latency.merge(metrics)
             if ledger is not None:
-                from repro.obs.provenance import clause_evidence
-
-                provenance.flush()
-                ledger.record_modules(run_id, outcome.stats.modules)
-                ledger.record_clauses(
-                    run_id, clause_evidence(outcome.query, provenance.events)
-                )
-                ledger.finish_run(
-                    run_id,
-                    status="completed",
-                    verdict=outcome.verdict,
-                    sql=outcome.sql,
-                    invocations=outcome.stats.total_invocations,
-                    seconds=seconds,
-                    extras={"caches": caches},
-                )
+                ledger.finish_extraction(run_id, provenance, outcome)
             if progress is not None:
                 progress(
                     f"{query_name} --jobs {jobs}: {seconds:.2f}s, "

@@ -392,7 +392,8 @@ def _common_extraction_args(parser: argparse.ArgumentParser) -> None:
                              "(default 1 = fully sequential)")
     parser.add_argument("--plan-cache-size", type=int, default=256, metavar="N",
                         help="LRU capacity of the engine's parse/plan cache, "
-                             "keyed by (SQL, schema version); 0 disables it "
+                             "keyed by (SQL, catalog version, catalog "
+                             "digest); 0 disables it "
                              "(default 256)")
     parser.add_argument("--no-invocation-cache", action="store_true",
                         help="disable memoization of application invocations "
@@ -653,17 +654,6 @@ def _run_trace_diff(args, out) -> int:
     return 0
 
 
-def _confidence_map(outcome) -> Optional[dict]:
-    """EQC per-clause confidence keyed the way the provenance layer names
-    clauses (the guard says "projections" where provenance says "select")."""
-    if outcome.eqc is None or not outcome.eqc.clause_confidence:
-        return None
-    conf = dict(outcome.eqc.clause_confidence)
-    if "projections" in conf:
-        conf["select"] = conf.pop("projections")
-    return conf
-
-
 def _ledger_open(args, label: str, query_name: str = ""):
     """``(ledger, run_id, provenance)`` when ``--ledger`` was given, else
     ``(None, None, None)``.  The recorder streams to the ledger as modules
@@ -682,51 +672,6 @@ def _ledger_open(args, label: str, query_name: str = ""):
         jobs=getattr(args, "jobs", 1),
     )
     return ledger, run_id, ProvenanceRecorder(sink=ledger.sink(run_id))
-
-
-def _ledger_finish(ledger, run_id, provenance, outcome) -> None:
-    from repro.obs.provenance import clause_evidence
-
-    provenance.flush()
-    ledger.record_modules(run_id, outcome.stats.modules)
-    if outcome.query is not None:
-        ledger.record_clauses(
-            run_id,
-            clause_evidence(
-                outcome.query,
-                provenance.events,
-                clause_confidence=_confidence_map(outcome),
-            ),
-        )
-    caches = dict(outcome.caches or {})
-    workers = caches.pop("workers", None)
-    extras = {"caches": caches}
-    if workers:
-        extras["workers"] = workers
-    ledger.finish_run(
-        run_id,
-        status="completed",
-        verdict=outcome.verdict,
-        sql=outcome.sql if outcome.query is not None else "",
-        invocations=outcome.stats.total_invocations,
-        seconds=outcome.stats.total_seconds,
-        extras=extras,
-    )
-    ledger.close()
-
-
-def _ledger_fail(ledger, run_id, provenance, error) -> None:
-    """Mark an aborted run; its incrementally flushed evidence stays put."""
-    if ledger is None:
-        return
-    try:
-        provenance.flush()
-        ledger.finish_run(
-            run_id, status="failed", extras={"error": str(error)}
-        )
-        ledger.close()
-    except Exception:  # the original error is the one worth surfacing
-        pass
 
 
 def _budget_kwargs(args) -> dict:
@@ -816,10 +761,13 @@ def _run_extraction(args, sql: str, out) -> int:
             checkpoint_dir=args.checkpoint_dir, provenance=provenance,
         ).extract()
     except BaseException as error:
-        _ledger_fail(ledger, run_id, provenance, error)
+        if ledger is not None:
+            ledger.fail_extraction(run_id, provenance, error)
+            ledger.close()
         raise
     if ledger is not None:
-        _ledger_finish(ledger, run_id, provenance, outcome)
+        ledger.finish_extraction(run_id, provenance, outcome)
+        ledger.close()
         out.write(f"ledger      : run {run_id} -> {args.ledger}\n")
     if args.trace_out:
         tracer.write_jsonl(args.trace_out)
@@ -925,10 +873,13 @@ def _run_verify(args, sql: str, out) -> int:
         else:
             outcome = extractor.extract()
     except BaseException as error:
-        _ledger_fail(ledger, run_id, provenance, error)
+        if ledger is not None:
+            ledger.fail_extraction(run_id, provenance, error)
+            ledger.close()
         raise
     if ledger is not None:
-        _ledger_finish(ledger, run_id, provenance, outcome)
+        ledger.finish_extraction(run_id, provenance, outcome)
+        ledger.close()
         out.write(f"ledger      : run {run_id} -> {args.ledger}\n")
     if args.trace_out:
         tracer.write_jsonl(args.trace_out)
@@ -978,6 +929,7 @@ def _run_explain(args, out) -> int:
     from repro.obs.provenance import (
         ProvenanceRecorder,
         clause_evidence,
+        eqc_clause_confidence,
         render_explain,
     )
 
@@ -1026,10 +978,13 @@ def _run_explain(args, out) -> int:
             checkpoint_dir=args.checkpoint_dir, provenance=provenance,
         ).extract()
     except BaseException as error:
-        _ledger_fail(ledger, run_id, provenance, error)
+        if ledger is not None:
+            ledger.fail_extraction(run_id, provenance, error)
+            ledger.close()
         raise
     if ledger is not None:
-        _ledger_finish(ledger, run_id, provenance, outcome)
+        ledger.finish_extraction(run_id, provenance, outcome)
+        ledger.close()
         out.write(f"ledger: run {run_id} -> {args.ledger}\n")
     if outcome.query is None:
         out.write(f"verdict: {outcome.verdict}\n")
@@ -1038,7 +993,7 @@ def _run_explain(args, out) -> int:
     rows = clause_evidence(
         outcome.query,
         provenance.events,
-        clause_confidence=_confidence_map(outcome),
+        clause_confidence=eqc_clause_confidence(outcome),
     )
     header = (
         f"workload {args.workload}, query {args.query}"
@@ -1333,17 +1288,22 @@ def _run_chaos(args, sql: str, out) -> int:
         try:
             outcome = extractor.extract()
         except ReproError as error:
-            _ledger_fail(ledger, run_id, provenance, error)
+            if ledger is not None:
+                ledger.fail_extraction(run_id, provenance, error)
+                ledger.close()
             out.write(f"died           : {type(error).__name__}: {error}\n")
             out.write("survived       : no\n")
             return 1
     except ReproError as error:
-        _ledger_fail(ledger, run_id, provenance, error)
+        if ledger is not None:
+            ledger.fail_extraction(run_id, provenance, error)
+            ledger.close()
         out.write(f"died           : {type(error).__name__}: {error}\n")
         out.write("survived       : no\n")
         return 1
     if ledger is not None:
-        _ledger_finish(ledger, run_id, provenance, outcome)
+        ledger.finish_extraction(run_id, provenance, outcome)
+        ledger.close()
         out.write(f"ledger         : run {run_id} -> {args.ledger}\n")
 
     injected = ", ".join(f"{k}={v}" for k, v in faulty.injected.items())

@@ -175,19 +175,19 @@ class ExtractionConfig:
     jobs: int = 1
 
     #: Capacity of the per-silo LRU parse/plan cache (0 disables it).
-    #: Entries are keyed by (SQL, catalog version); DDL invalidates by
-    #: bumping the version.
+    #: Entries are keyed by (SQL, catalog version, catalog digest); DDL
+    #: invalidates by bumping the version.
     plan_cache_size: int = 256
 
-    #: A :class:`~repro.engine.database.SharedPlanCache` to use *instead of*
-    #: the per-silo cache.  The serve layer passes one instance to every job
-    #: so concurrent extractions over the same instance share compiled plans
-    #: (keys widen with the catalog-content digest, so cross-job reuse is
+    #: A :class:`~repro.engine.database.PlanCache` to use *instead of* a
+    #: private per-silo one.  The serve layer passes one instance to every
+    #: job so concurrent extractions over the same instance share compiled
+    #: plans (keys carry the catalog-content digest, so cross-job reuse is
     #: sound).  None keeps the private per-silo cache.
     shared_plan_cache: object | None = field(default=None, repr=False)
 
-    #: Scope label for shared-plan-cache accounting (the serve layer passes
-    #: the job id); "" falls back to a generic session scope.
+    #: Scope label for plan-cache accounting (the serve layer passes the
+    #: job id); "" falls back to a generic session scope.
     plan_cache_scope: str = ""
 
     #: Observer called as ``observer(resource, total)`` whenever the budget

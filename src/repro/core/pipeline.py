@@ -550,7 +550,7 @@ class UnmasqueExtractor:
         if metrics is None:
             return
         if session.silo.plan_cache is not None:
-            stats = session.silo.plan_cache.stats()
+            stats = session.silo.plan_cache.stats(session.silo.plan_cache_scope)
             metrics.counter("plan_cache_hits_total").inc(stats["hits"])
             metrics.counter("plan_cache_misses_total").inc(stats["misses"])
             metrics.counter("plan_cache_evictions_total").inc(stats["evictions"])

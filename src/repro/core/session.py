@@ -381,26 +381,14 @@ class ExtractionSession(ProbeSurface):
         # nest under the active module span.
         self.silo = db.clone()
         self.silo.tracer = self.tracer
-        # Size the silo's parse/plan cache from config (0 disables it); the
-        # version clock carried over from construction keeps DDL invalidation
-        # exact across sandbox snapshot/restore cycles.  A shared cross-job
-        # cache (serve layer) replaces the private one: the scoped view
-        # widens every key with the catalog-content digest, so jobs from
-        # different lineages can never alias plans.
-        if config.shared_plan_cache is not None:
-            from repro.engine.database import ScopedPlanCache
-
-            self.silo.plan_cache = ScopedPlanCache(
-                config.shared_plan_cache,
-                self.silo,
-                scope=config.plan_cache_scope or "session",
-            )
-        else:
-            self.silo.plan_cache = (
-                PlanCache(config.plan_cache_size)
-                if config.plan_cache_size > 0
-                else None
-            )
+        # The silo's parse/plan cache: the serve layer's cross-job cache when
+        # one is passed, else a private one sized from config (0 disables
+        # it).  Keys carry the catalog version and digest, so sharing is
+        # sound across jobs; the scope labels this job's share of the stats.
+        self.silo.plan_cache = config.shared_plan_cache or (
+            PlanCache(config.plan_cache_size) if config.plan_cache_size > 0 else None
+        )
+        self.silo.plan_cache_scope = config.plan_cache_scope or "session"
         self.silo.drop_constraints()
 
         #: resource watchdog (invocations / rows scanned / cells / wall-clock);
@@ -560,7 +548,9 @@ class ExtractionSession(ProbeSurface):
         stats: dict = {"scheduler": self.scheduler.stats_dict()}
         stats["scheduler"]["jobs"] = self.scheduler.jobs
         if self.silo.plan_cache is not None:
-            stats["plan_cache"] = self.silo.plan_cache.stats()
+            stats["plan_cache"] = self.silo.plan_cache.stats(
+                self.silo.plan_cache_scope
+            )
         if self.memo is not None:
             stats["invocation_cache"] = self.memo.stats()
         workers = self.worker_stats()

@@ -161,99 +161,71 @@ class _VersionClock:
     snapshot *reinstates* its recorded version rather than drawing a new one,
     which is what lets plan-cache entries survive the sandbox's
     restore-per-invocation cycle.  Probe replicas built with
-    :meth:`Database.from_snapshot` share the parent's clock, so a shared
-    plan cache keyed by version can never serve a plan compiled under a
-    different catalog.
+    :meth:`Database.replica` share the parent's clock, and with it the
+    lineage's ``version → catalog digest`` memo: replicas and restores reuse
+    the digest instead of rehashing the catalog.
     """
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value", "_lock", "_digests")
 
     def __init__(self) -> None:
         self._value = 0
         self._lock = threading.Lock()
+        self._digests: dict[int, str] = {}
 
     def next(self) -> int:
         with self._lock:
             self._value += 1
             return self._value
 
+    def digest(self, version: int, catalog: Catalog) -> str:
+        """The digest of ``catalog``, which this lineage names ``version``."""
+        value = self._digests.get(version)
+        if value is None:
+            value = self._digests[version] = _catalog_digest(catalog)
+        return value
+
+
+def _catalog_digest(catalog: Catalog) -> str:
+    """A content hash of a catalog (names, columns, types, PK/FK)."""
+    digest = hashlib.sha256()
+    for name in sorted(catalog.table_names, key=str.lower):
+        schema = catalog.get(name)
+        digest.update(name.lower().encode())
+        for column in schema.columns:
+            digest.update(f"|{column.name}:{column.type!r}".encode())
+        digest.update(f"#pk:{schema.primary_key}".encode())
+        digest.update(f"#fk:{schema.foreign_keys}".encode())
+        digest.update(b"@")
+    return digest.hexdigest()[:16]
+
+
+def _scope_counts() -> dict:
+    return {
+        "hits": 0, "misses": 0, "evictions": 0, "entries": 0,
+        "cross_scope_hits": 0,
+    }
+
 
 class PlanCache:
-    """An LRU cache of parsed statements and bound SELECT plans.
+    """A thread-safe LRU of parsed statements and bound SELECT plans.
 
-    Keyed by ``(sql, catalog_version)``: parsing is catalog-independent but
-    planning binds column indices and schema objects, so any DDL (create,
-    drop, rename, constraint stripping) must invalidate.  Rather than
-    flushing, DDL bumps the database's catalog version — old entries become
-    unreachable and age out of the LRU naturally, while a sandbox restore
-    that reinstates an old version brings its entries straight back.
+    Keyed ``(sql, catalog_version, catalog_digest)``.  Parsing is
+    catalog-independent but planning binds column indices and schema
+    objects, so any DDL (create, drop, rename, constraint stripping) must
+    invalidate.  Rather than flushing, DDL bumps the database's catalog
+    version: old entries become unreachable and age out of the LRU, while a
+    sandbox restore that reinstates an old version brings its entries
+    straight back.  Version numbers are per-lineage sequences, so two
+    lineages can sit at the same version with different catalogs; the
+    catalog *content* digest makes that collision impossible, which is what
+    lets one cache serve a silo, its probe replicas, and every job of a
+    ``repro serve`` process.
 
-    Thread-safe: the probe scheduler shares one cache between the silo and
-    its per-worker replicas.
-    """
-
-    __slots__ = ("capacity", "_entries", "_lock", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._entries: OrderedDict[tuple[str, int], tuple] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, sql: str, version: int):
-        """The cached ``(statement, plan)`` pair, or None.  ``plan`` is None
-        for non-SELECT statements (only the parse is reusable)."""
-        with self._lock:
-            entry = self._entries.get((sql, version))
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end((sql, version))
-            self.hits += 1
-            return entry
-
-    def put(self, sql: str, version: int, statement, plan) -> None:
-        with self._lock:
-            key = (sql, version)
-            self._entries[key] = (statement, plan)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict:
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._entries),
-                "hit_rate": (self.hits / total) if total else 0.0,
-            }
-
-
-class SharedPlanCache:
-    """A cross-job plan cache keyed ``(sql, catalog_version, catalog_digest)``.
-
-    One instance is shared by every job the serve layer runs against the
-    same process: concurrent extractions over the same ``(workload, scale,
-    seed)`` instance replay near-identical probe SQL, so the second job's
-    parses and bound plans are free.  The third key component is the catalog
-    *content* digest — version numbers are per-lineage monotonic sequences,
-    so two jobs can sit at the same version with different catalogs; the
-    digest makes that collision structurally impossible (a plan is reused
-    only when the catalog it was bound against is byte-identical).
-
-    Per-scope (per-job) hit/miss accounting feeds each job's ``caches``
-    report; ``cross_scope_hits`` counts reuse across job boundaries — the
-    number this cache exists to make non-zero.
+    Each entry is owned by the scope that inserted it (a database's
+    ``plan_cache_scope``: the serve layer uses the job id).  Hits, misses,
+    evictions and owned entries are counted per scope as well as in total;
+    ``cross_scope_hits`` counts reuse of another scope's entry.
     """
 
     __slots__ = (
@@ -261,7 +233,7 @@ class SharedPlanCache:
         "hits", "misses", "evictions", "cross_scope_hits",
     )
 
-    def __init__(self, capacity: int = 2048):
+    def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._owners: dict[tuple, str] = {}
@@ -272,95 +244,62 @@ class SharedPlanCache:
         self.evictions = 0
         self.cross_scope_hits = 0
 
-    def lookup(self, key: tuple, scope: str):
+    def _counts(self, scope: str) -> dict:
+        counts = self._scopes.get(scope)
+        if counts is None:
+            counts = self._scopes[scope] = _scope_counts()
+        return counts
+
+    def get(self, key: tuple, scope: str):
+        """The cached ``(statement, plan)`` pair, or None.  ``plan`` is None
+        for non-SELECT statements (only the parse is reusable)."""
         with self._lock:
-            stats = self._scopes.setdefault(scope, {"hits": 0, "misses": 0})
+            counts = self._counts(scope)
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                stats["misses"] += 1
+                counts["misses"] += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            stats["hits"] += 1
-            if self._owners.get(key) != scope:
+            counts["hits"] += 1
+            if self._owners[key] != scope:
                 self.cross_scope_hits += 1
+                counts["cross_scope_hits"] += 1
             return entry
 
-    def insert(self, key: tuple, value: tuple, scope: str) -> None:
+    def put(self, key: tuple, entry: tuple, scope: str) -> None:
         with self._lock:
-            self._entries[key] = value
-            self._owners.setdefault(key, scope)
+            if key not in self._entries:
+                self._owners[key] = scope
+                self._counts(scope)["entries"] += 1
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 evicted, _ = self._entries.popitem(last=False)
-                self._owners.pop(evicted, None)
+                owner = self._scopes[self._owners.pop(evicted)]
+                owner["entries"] -= 1
+                owner["evictions"] += 1
                 self.evictions += 1
 
-    def __len__(self) -> int:
+    def stats(self, scope: Optional[str] = None) -> dict:
+        """Counters for one scope's own traffic and entries, or for the
+        whole cache (plus the number of ``scopes``) when ``scope`` is None."""
         with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict:
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._entries),
-                "hit_rate": (self.hits / total) if total else 0.0,
-                "cross_scope_hits": self.cross_scope_hits,
-                "scopes": len(self._scopes),
-            }
-
-    def scoped_stats(self, scope: str) -> dict:
-        with self._lock:
-            stats = self._scopes.get(scope, {"hits": 0, "misses": 0})
-            total = stats["hits"] + stats["misses"]
-            return {
-                "hits": stats["hits"],
-                "misses": stats["misses"],
-                "evictions": 0,  # eviction is a shared-cache-level event
-                "entries": len(self._entries),
-                "hit_rate": (stats["hits"] / total) if total else 0.0,
-                "shared": True,
-            }
-
-
-class ScopedPlanCache:
-    """A :class:`PlanCache`-shaped view of a :class:`SharedPlanCache`.
-
-    Presents the exact ``get(sql, version)`` / ``put(...)`` interface the
-    engine expects while widening every key with the owning database's
-    catalog-content digest.  ``for_db`` rebinds the view to a probe replica
-    (see :meth:`Database.from_snapshot`) so replicas share the same global
-    cache under their own digests.
-    """
-
-    __slots__ = ("shared", "db", "scope")
-
-    def __init__(self, shared: SharedPlanCache, db: "Database", scope: str):
-        self.shared = shared
-        self.db = db
-        self.scope = scope
-
-    def get(self, sql: str, version: int):
-        key = (sql, version, self.db.catalog_digest())
-        return self.shared.lookup(key, self.scope)
-
-    def put(self, sql: str, version: int, statement, plan) -> None:
-        key = (sql, version, self.db.catalog_digest())
-        self.shared.insert(key, (statement, plan), self.scope)
-
-    def for_db(self, db: "Database") -> "ScopedPlanCache":
-        return ScopedPlanCache(self.shared, db, self.scope)
-
-    def __len__(self) -> int:
-        return len(self.shared)
-
-    def stats(self) -> dict:
-        return self.shared.scoped_stats(self.scope)
+            if scope is not None:
+                counts = dict(self._scopes.get(scope) or _scope_counts())
+            else:
+                counts = {
+                    "hits": self.hits,
+                    "misses": self.misses,
+                    "evictions": self.evictions,
+                    "entries": len(self._entries),
+                    "cross_scope_hits": self.cross_scope_hits,
+                    "scopes": len(self._scopes),
+                }
+        total = counts["hits"] + counts["misses"]
+        counts["hit_rate"] = (counts["hits"] / total) if total else 0.0
+        return counts
 
 
 #: statement class → the ``statement`` tag value on its query span
@@ -385,7 +324,8 @@ class Database:
         self.trace_access = False
         #: observability hook: engine statements open ``query`` spans on this
         #: tracer (parse/plan/execute timing, row counts).  The default
-        #: :data:`~repro.obs.trace.NULL_TRACER` keeps the untraced fast path.
+        #: :data:`~repro.obs.trace.NULL_TRACER` records nothing; either way
+        #: the statement takes the same path (see :meth:`execute`).
         self.tracer = NULL_TRACER
         #: absolute ``time.perf_counter()`` deadline for cooperative timeouts;
         #: the executor and the scan cursor poll it (see :meth:`check_deadline`).
@@ -395,15 +335,16 @@ class Database:
         #: poll doubles as the wall-clock watchdog tick.
         self.budget = None
         #: monotonic catalog-version source for this lineage (shared with
-        #: probe replicas, see :meth:`from_snapshot`).
+        #: probe replicas, see :meth:`replica`).
         self._clock = _VersionClock()
         #: the current catalog version; bumped by DDL, reinstated by
         #: :meth:`restore`.  Plan-cache keys embed it.
         self.catalog_version = 0
         #: parse/plan LRU (set to None to disable caching entirely).
         self.plan_cache: Optional[PlanCache] = PlanCache()
-        #: memoized (catalog_version, digest) pair for :meth:`catalog_digest`
-        self._digest_cache: Optional[tuple[int, str]] = None
+        #: the plan-cache accounting scope this database's statements count
+        #: under (the serve layer uses the job id; replicas inherit it).
+        self.plan_cache_scope = "default"
         for schema in schemas:
             self.create_table(schema)
 
@@ -544,183 +485,122 @@ class Database:
     def catalog_digest(self) -> str:
         """A content hash of the catalog (names, columns, types, PK/FK).
 
-        Memoized per catalog version.  Within one lineage the version number
-        already names the catalog uniquely; the digest is what makes a
-        *cross-lineage* shared plan-cache key sound — two jobs at the same
-        version number but different DDL histories can never alias.
+        Memoized per catalog version on the lineage's version clock.  Within
+        one lineage the version number already names the catalog uniquely;
+        the digest is what makes a plan-cache key sound *across* lineages —
+        two jobs at the same version number but different DDL histories can
+        never alias.
         """
-        version = self.catalog_version
-        cached = self._digest_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        digest = hashlib.sha256()
-        for name in sorted(self.catalog.table_names, key=str.lower):
-            schema = self.catalog.get(name)
-            digest.update(name.lower().encode())
-            for column in schema.columns:
-                digest.update(f"|{column.name}:{column.type!r}".encode())
-            digest.update(f"#pk:{schema.primary_key}".encode())
-            digest.update(f"#fk:{schema.foreign_keys}".encode())
-            digest.update(b"@")
-        value = digest.hexdigest()[:16]
-        self._digest_cache = (version, value)
-        return value
+        return self._clock.digest(self.catalog_version, self.catalog)
 
     # -- SQL interface -----------------------------------------------------------
 
     def execute(self, sql: str) -> Result:
-        """Execute one SQL statement; non-SELECT statements return empty results."""
-        if self.tracer.enabled:
-            return self._execute_traced(sql)
-        statement, plan, _ = self._parse_and_plan(sql)
-        if plan is not None:
-            return self._run_select_plan(plan)
-        return self._dispatch(statement)
+        """Execute one SQL statement; non-SELECT statements return empty results.
 
-    def _parse_and_plan(self, sql: str) -> tuple:
-        """Resolve ``sql`` through the plan cache: ``(statement, plan, hit)``.
-
-        ``plan`` is a bound plan for SELECTs and None otherwise (only the
-        parse is reusable for DDL/DML).  Failures are never cached: planning
+        The engine's only statement path: plan-cache lookup, parse, plan
+        (SELECTs), run, budget charge.  Failures are never cached: planning
         errors such as :class:`~repro.errors.UndefinedTableError` are
         semantic signals to the From-clause extractor and must be recomputed
         against the live catalog every time.
+
+        On a traced database the same sequence runs inside one ``query``
+        span (phase timings, tables, row counts, cache outcome) and feeds
+        the statement metrics.  Failed statements count too: the paper's
+        invocation budgets include failed probes.
         """
-        cache = self.plan_cache
-        if cache is None:
-            statement = parse_statement(sql)
-            plan = (
-                plan_select(statement, self.catalog)
-                if isinstance(statement, SelectStatement)
-                else None
-            )
-            return statement, plan, False
-        version = self.catalog_version
-        entry = cache.get(sql, version)
-        if entry is not None:
-            return entry[0], entry[1], True
-        statement = parse_statement(sql)
-        plan = (
-            plan_select(statement, self.catalog)
-            if isinstance(statement, SelectStatement)
-            else None
-        )
-        cache.put(sql, version, statement, plan)
-        return statement, plan, False
-
-    def _run_select_plan(self, plan) -> Result:
-        rows_by_binding = {
-            bound.binding: self.table(bound.schema.name).rows for bound in plan.tables
-        }
-        if self.budget is None:
-            return execute_plan(plan, rows_by_binding, tick=self.check_deadline)
-        profile: dict = {}
-        result = execute_plan(
-            plan, rows_by_binding, tick=self.check_deadline, profile=profile
-        )
-        self.budget.charge_rows_scanned(profile["rows_scanned"])
-        return result
-
-    def _execute_traced(self, sql: str) -> Result:
-        """The profiled twin of :meth:`execute`: one ``query`` span per
-        statement with parse/plan/execute phase timing and row counts."""
         tracer = self.tracer
+        traced = tracer.enabled
         metrics = tracer.metrics
         with tracer.span("statement", kind="query") as span:
             started = time.perf_counter()
             try:
-                return self._execute_traced_inner(sql, span, started)
+                cache = self.plan_cache
+                entry = None
+                if cache is not None:
+                    key = (sql, self.catalog_version, self.catalog_digest())
+                    entry = cache.get(key, self.plan_cache_scope)
+                if entry is None:
+                    statement, plan = parse_statement(sql), None
+                else:
+                    statement, plan = entry
+                kind = _STATEMENT_KINDS.get(type(statement), "other")
+                if traced:
+                    span.name = kind
+                    span.set_tags(
+                        statement=kind,
+                        parse_seconds=round(time.perf_counter() - started, 9),
+                    )
+                    if cache is not None:
+                        span.set_tag("plan_cache", "miss" if entry is None else "hit")
+
+                if kind != "select":
+                    if entry is None and cache is not None:
+                        # Cache the parse keyed at the *pre-execution*
+                        # version: DDL bumps the version as it runs, so its
+                        # own entry can never replay against the catalog it
+                        # just changed.
+                        cache.put(key, (statement, None), self.plan_cache_scope)
+                    result = self._dispatch(statement)
+                    if traced and kind in ("insert", "update", "delete"):
+                        affected = (
+                            len(statement.rows)
+                            if isinstance(statement, Insert)
+                            else (result.rows[0][0] if result.rows else 0)
+                        )
+                        span.set_tag("rows_affected", affected)
+                        if metrics is not None:
+                            metrics.counter("dml_statements_total").inc()
+                            metrics.counter("dml_rows_affected_total").inc(affected)
+                    return result
+
+                plan_started = time.perf_counter()
+                if plan is None:
+                    plan = plan_select(statement, self.catalog)
+                    if cache is not None:
+                        cache.put(key, (statement, plan), self.plan_cache_scope)
+                if traced:
+                    span.set_tags(
+                        plan_seconds=round(time.perf_counter() - plan_started, 9),
+                        tables=[bound.schema.name for bound in plan.tables],
+                    )
+                rows_by_binding = {
+                    bound.binding: self.table(bound.schema.name).rows
+                    for bound in plan.tables
+                }
+                profile = {} if traced or self.budget is not None else None
+                exec_started = time.perf_counter()
+                result = execute_plan(
+                    plan, rows_by_binding, tick=self.check_deadline, profile=profile
+                )
+                if self.budget is not None:
+                    self.budget.charge_rows_scanned(profile["rows_scanned"])
+                if traced:
+                    span.set_tag(
+                        "execute_seconds",
+                        round(time.perf_counter() - exec_started, 9),
+                    )
+                    span.set_tags(**profile)
+                    if metrics is not None:
+                        metrics.counter("rows_scanned_total").inc(
+                            profile["rows_scanned"]
+                        )
+                        metrics.counter("rows_emitted_total").inc(
+                            profile["rows_emitted"]
+                        )
+                return result
             except Exception:
-                # Failed probes (e.g. From-clause rename runs) still count:
-                # the paper's invocation budgets include them.
+                if metrics is not None:
+                    metrics.counter("query_errors_total").inc()
+                raise
+            finally:
                 if metrics is not None:
                     metrics.counter("queries_total").inc()
-                    metrics.counter("query_errors_total").inc()
                     metrics.histogram("query_latency_seconds").observe(
                         time.perf_counter() - started
                     )
-                raise
-
-    def _execute_traced_inner(self, sql: str, span, started: float) -> Result:
-        metrics = self.tracer.metrics
-        cache = self.plan_cache
-        version = self.catalog_version
-        entry = cache.get(sql, version) if cache is not None else None
-        if entry is not None:
-            statement, cached_plan = entry
-            span.set_tag("plan_cache", "hit")
-        else:
-            statement = parse_statement(sql)
-            cached_plan = None
-        parse_seconds = time.perf_counter() - started
-        kind = _STATEMENT_KINDS.get(type(statement), "other")
-        span.name = kind
-        span.set_tags(statement=kind, parse_seconds=round(parse_seconds, 9))
-
-        if isinstance(statement, SelectStatement):
-            plan_started = time.perf_counter()
-            if cached_plan is not None:
-                plan = cached_plan
-            else:
-                plan = plan_select(statement, self.catalog)
-                if cache is not None:
-                    cache.put(sql, version, statement, plan)
-                    span.set_tag("plan_cache", "miss")
-            span.set_tag(
-                "plan_seconds", round(time.perf_counter() - plan_started, 9)
-            )
-            span.set_tag("tables", [bound.schema.name for bound in plan.tables])
-            rows_by_binding = {
-                bound.binding: self.table(bound.schema.name).rows
-                for bound in plan.tables
-            }
-            profile: dict = {}
-            exec_started = time.perf_counter()
-            result = execute_plan(
-                plan, rows_by_binding, tick=self.check_deadline, profile=profile
-            )
-            if self.budget is not None:
-                self.budget.charge_rows_scanned(profile["rows_scanned"])
-            span.set_tag(
-                "execute_seconds", round(time.perf_counter() - exec_started, 9)
-            )
-            span.set_tags(**profile)
-            if metrics is not None:
-                metrics.counter("queries_total").inc()
-                metrics.counter("rows_scanned_total").inc(profile["rows_scanned"])
-                metrics.counter("rows_emitted_total").inc(profile["rows_emitted"])
-                metrics.histogram("query_latency_seconds").observe(
-                    time.perf_counter() - started
-                )
-            return result
-
-        if entry is None and cache is not None:
-            # Cache the parse keyed at the *pre-execution* version: DDL bumps
-            # the version as it runs, so its own entry can never replay
-            # against the catalog it just changed.
-            cache.put(sql, version, statement, None)
-            span.set_tag("plan_cache", "miss")
-        result = self._dispatch(statement)
-        if kind in ("insert", "update", "delete"):
-            affected = (
-                len(statement.rows)
-                if isinstance(statement, Insert)
-                else (result.rows[0][0] if result.rows else 0)
-            )
-            span.set_tag("rows_affected", affected)
-            if metrics is not None:
-                metrics.counter("dml_statements_total").inc()
-                metrics.counter("dml_rows_affected_total").inc(affected)
-        if metrics is not None:
-            metrics.counter("queries_total").inc()
-            metrics.histogram("query_latency_seconds").observe(
-                time.perf_counter() - started
-            )
-        return result
 
     def _dispatch(self, statement) -> Result:
-        if isinstance(statement, SelectStatement):
-            return self.execute_select(statement)
         if isinstance(statement, CreateTable):
             columns = tuple(
                 Column(col.name, type_from_def(col)) for col in statement.columns
@@ -751,20 +631,6 @@ class Database:
         if isinstance(statement, Delete):
             return self._execute_delete(statement)
         raise DatabaseError(f"unsupported statement type {type(statement).__name__}")
-
-    def execute_select(self, statement: SelectStatement) -> Result:
-        plan = plan_select(statement, self.catalog)
-        rows_by_binding = {
-            bound.binding: self.table(bound.schema.name).rows for bound in plan.tables
-        }
-        if self.budget is None:
-            return execute_plan(plan, rows_by_binding, tick=self.check_deadline)
-        profile: dict = {}
-        result = execute_plan(
-            plan, rows_by_binding, tick=self.check_deadline, profile=profile
-        )
-        self.budget.charge_rows_scanned(profile["rows_scanned"])
-        return result
 
     def _execute_insert(self, statement: Insert) -> Result:
         data = self.table(statement.table)
@@ -840,33 +706,19 @@ class Database:
             clone._tables[name] = data.copy() if with_data else TableData(data.schema)
         return clone
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        token: DatabaseSnapshot,
-        *,
-        plan_cache: Optional[PlanCache] = None,
-        clock: Optional[_VersionClock] = None,
-    ) -> "Database":
-        """A fresh, untraced database positioned at ``token``'s state.
+    def replica(self, token: DatabaseSnapshot) -> "Database":
+        """A fresh, untraced database in this lineage, positioned at ``token``.
 
         This is the probe scheduler's replica constructor: worker threads
-        probe private replicas instead of the shared silo.  Passing the
-        silo's ``plan_cache`` together with its version ``clock`` lets all
-        replicas share compiled plans soundly — versions come from one
-        monotonic sequence, so a (sql, version) key can never alias two
-        different catalogs.  Rows are adopted copy-on-write, so construction
-        is O(tables).
+        probe private replicas instead of the shared silo.  The replica
+        shares this database's plan cache, cache scope and version clock, so
+        compiled plans and catalog digests are reused across replicas.  Rows
+        are adopted copy-on-write, so construction is O(tables).
         """
-        db = cls()
-        if clock is not None:
-            db._clock = clock
-        if plan_cache is not None:
-            # A scoped view of a shared cross-job cache must be rebound to
-            # the replica so keys carry *its* catalog digest; a plain
-            # PlanCache is shared as-is (same lineage, same version clock).
-            rebind = getattr(plan_cache, "for_db", None)
-            db.plan_cache = rebind(db) if rebind is not None else plan_cache
+        db = Database()
+        db._clock = self._clock
+        db.plan_cache = self.plan_cache
+        db.plan_cache_scope = self.plan_cache_scope
         db.restore(token)
         return db
 

@@ -54,8 +54,12 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional
 
-from repro.errors import StorageExhausted
-from repro.obs.provenance import EvidenceEvent
+from repro.errors import ExtractionPaused, StorageExhausted
+from repro.obs.provenance import (
+    EvidenceEvent,
+    clause_evidence,
+    eqc_clause_confidence,
+)
 from repro.resilience.diskfaults import (
     REAL_FS,
     is_sqlite_storage_error,
@@ -355,6 +359,48 @@ class RunLedger:
             (time.time(), status, verdict, sql, invocations, seconds, run_id),
         )
         self._commit()
+
+    def finish_extraction(self, run_id: int, provenance, outcome) -> None:
+        """Record a completed extraction: per-module stats, the clause
+        evidence view, and the run row with its ``caches`` and ``workers``
+        extras (what ``repro trace-diff`` reads)."""
+        provenance.flush()
+        self.record_modules(run_id, outcome.stats.modules)
+        if outcome.query is not None:
+            self.record_clauses(
+                run_id,
+                clause_evidence(
+                    outcome.query,
+                    provenance.events,
+                    clause_confidence=eqc_clause_confidence(outcome),
+                ),
+            )
+        caches = dict(outcome.caches or {})
+        workers = caches.pop("workers", None)
+        extras = {"caches": caches}
+        if workers:
+            extras["workers"] = workers
+        self.finish_run(
+            run_id,
+            status="completed",
+            verdict=outcome.verdict,
+            sql=outcome.sql if outcome.query is not None else "",
+            invocations=outcome.stats.total_invocations,
+            seconds=outcome.stats.total_seconds,
+            extras=extras,
+        )
+
+    def fail_extraction(self, run_id: int, provenance, error) -> None:
+        """Mark an aborted run ``paused`` (a checkpointed
+        :class:`~repro.errors.ExtractionPaused`) or ``failed``; its
+        incrementally flushed evidence stays put.  Never raises: the
+        original error is the one worth surfacing."""
+        try:
+            provenance.flush()
+            status = "paused" if isinstance(error, ExtractionPaused) else "failed"
+            self.finish_run(run_id, status=status, extras={"error": str(error)})
+        except Exception:
+            pass
 
     # -- reading -------------------------------------------------------------
 

@@ -492,6 +492,17 @@ class ClauseEvidence:
         }
 
 
+def eqc_clause_confidence(outcome) -> Optional[dict]:
+    """An outcome's EQC per-clause confidence keyed the way this module names
+    clauses (the guard says "projections" where provenance says "select")."""
+    if outcome.eqc is None or not outcome.eqc.clause_confidence:
+        return None
+    conf = dict(outcome.eqc.clause_confidence)
+    if "projections" in conf:
+        conf["select"] = conf.pop("projections")
+    return conf
+
+
 def clause_evidence(
     query,
     events: Iterable[EvidenceEvent],

@@ -51,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional
 
-from repro.engine.database import Database
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import NULL_PROVENANCE, ProvenanceRecorder
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -253,11 +252,7 @@ class ProbeScheduler:
             tracer = _TaskTracer(
                 MetricsRegistry() if session.tracer.metrics is not None else None
             )
-        replica = Database.from_snapshot(
-            base,
-            plan_cache=session.silo.plan_cache,
-            clock=session.silo._clock,
-        )
+        replica = session.silo.replica(base)
         replica.tracer = tracer
         if session.budget.active:
             replica.budget = _LockedBudget(session.budget, self._lock)
@@ -382,8 +377,6 @@ class ProbeScheduler:
         module_stats = session.stats.module(session._current_module)
         tracer = session.tracer
         base = silo.snapshot()
-        plan_cache = silo.plan_cache
-        clock = silo._clock
         executor = self._ensure_executor()
         budget_enabled = session.budget.enabled
         provenance = session.provenance
@@ -392,9 +385,7 @@ class ProbeScheduler:
 
         def _execute(probe_state):
             """Worker-side speculative probe: zero logical accounting."""
-            db = Database.from_snapshot(
-                base, plan_cache=plan_cache, clock=clock
-            )
+            db = silo.replica(base)
             collector = _RowsCollector() if budget_enabled else None
             if collector is not None:
                 db.budget = collector

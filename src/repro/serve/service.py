@@ -106,9 +106,9 @@ class ExtractionService:
         #: (keys carry the catalog-content digest, so cross-job reuse is sound)
         self.plan_cache = None
         if shared_plan_cache_size and shared_plan_cache_size > 0:
-            from repro.engine.database import SharedPlanCache
+            from repro.engine.database import PlanCache
 
-            self.plan_cache = SharedPlanCache(shared_plan_cache_size)
+            self.plan_cache = PlanCache(shared_plan_cache_size)
         #: remote worker-agent peers (``--workers host:port,...``); when set,
         #: isolated invocations are dispatched over the remote transport and
         #: one health registry spans every job, so /status and /healthz see
@@ -653,16 +653,21 @@ class ExtractionService:
             else:
                 outcome = extractor.extract()
         except BaseException as error:
-            self._ledger_fail(ledger, run_id, provenance, error)
+            if ledger is not None:
+                ledger.fail_extraction(run_id, provenance, error)
+                ledger.close()
             raise
         finally:
             with self._metrics_lock:
                 self.metrics.merge(job_metrics)
-        try:
-            self._ledger_finish(ledger, run_id, provenance, outcome)
-        except StorageExhausted as error:
-            logger.warning("ledger finish dropped for %s: %s", job_id, error)
-            self._count("serve_storage_exhausted_total")
+        if ledger is not None:
+            try:
+                ledger.finish_extraction(run_id, provenance, outcome)
+            except StorageExhausted as error:
+                logger.warning("ledger finish dropped for %s: %s", job_id, error)
+                self._count("serve_storage_exhausted_total")
+            finally:
+                ledger.close()
         result = {
             "sql": outcome.sql if outcome.query is not None else "",
             "verdict": outcome.verdict,
@@ -693,40 +698,6 @@ class ExtractionService:
             jobs=request.jobs,
         )
         return ledger, run_id, ProvenanceRecorder(sink=ledger.sink(run_id))
-
-    def _ledger_finish(self, ledger, run_id, provenance, outcome) -> None:
-        if ledger is None:
-            return
-        from repro.obs.provenance import clause_evidence
-
-        provenance.flush()
-        ledger.record_modules(run_id, outcome.stats.modules)
-        if outcome.query is not None:
-            ledger.record_clauses(
-                run_id, clause_evidence(outcome.query, provenance.events)
-            )
-        ledger.finish_run(
-            run_id,
-            status="completed",
-            verdict=outcome.verdict,
-            sql=outcome.sql if outcome.query is not None else "",
-            invocations=outcome.stats.total_invocations,
-            seconds=outcome.stats.total_seconds,
-        )
-        ledger.close()
-
-    def _ledger_fail(self, ledger, run_id, provenance, error) -> None:
-        if ledger is None:
-            return
-        try:
-            provenance.flush()
-            status = (
-                "paused" if isinstance(error, ExtractionPaused) else "failed"
-            )
-            ledger.finish_run(run_id, status=status, extras={"error": str(error)})
-            ledger.close()
-        except Exception:  # the original error is the one worth surfacing
-            pass
 
     # -- internals -----------------------------------------------------------
 

@@ -19,6 +19,7 @@ import sqlite3
 
 import pytest
 
+from repro.obs import MetricsRegistry, Tracer
 from repro.workloads import random_queries
 
 pytestmark = pytest.mark.slow
@@ -56,9 +57,19 @@ def _strip_limit(sql: str) -> str:
     return re.sub(r"\s+limit\s+\d+\s*$", "", sql)
 
 
-@pytest.fixture(scope="module")
-def engine_db():
-    return random_queries.build_database(facts=400, seed=DB_SEED)
+def _traced(db, tracing: str):
+    """``db`` itself, with a metrics-collecting tracer on the traced leg —
+    tracing must never change a result."""
+    if tracing == "traced":
+        db.tracer = Tracer(metrics=MetricsRegistry())
+    return db
+
+
+@pytest.fixture(scope="module", params=["untraced", "traced"])
+def engine_db(request):
+    return _traced(
+        random_queries.build_database(facts=400, seed=DB_SEED), request.param
+    )
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +109,13 @@ def test_engine_matches_sqlite(seed, engine_db, sqlite_db):
 N_CACHED_QUERIES = 60
 
 
-@pytest.fixture()
-def cached_engine_db():
+@pytest.fixture(params=["untraced", "traced"])
+def cached_engine_db(request):
     from repro.engine.database import PlanCache
 
     db = random_queries.build_database(facts=200, seed=DB_SEED + 1)
     db.plan_cache = PlanCache(capacity=128)
-    return db
+    return _traced(db, request.param)
 
 
 @pytest.fixture()

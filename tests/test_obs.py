@@ -252,3 +252,73 @@ class TestTraceReport:
         orphan.end = 1.0
         report = render_trace_report([orphan])
         assert "module:lost" in report
+
+
+class TestTracedStatement:
+    """The ``query`` span and metrics every traced engine statement emits."""
+
+    @staticmethod
+    def _db():
+        from repro.engine.catalog import Column, TableSchema
+        from repro.engine.database import Database
+        from repro.engine.types import IntegerType
+
+        db = Database([
+            TableSchema("t", (Column("a", IntegerType()), Column("b", IntegerType())))
+        ])
+        db.insert("t", [(1, 10), (2, 20), (3, 30)])
+        db.tracer = Tracer(metrics=MetricsRegistry())
+        return db
+
+    @staticmethod
+    def _last_query(db):
+        return [s for s in db.tracer.spans if s.kind == "query"][-1]
+
+    def test_select_span_carries_phase_timing_and_row_counts(self):
+        db = self._db()
+        assert db.execute("select a from t where b > 10").rows == [(2,), (3,)]
+        span = self._last_query(db)
+        assert span.name == "select"
+        assert span.tags["statement"] == "select"
+        for phase in ("parse_seconds", "plan_seconds", "execute_seconds"):
+            assert span.tags[phase] >= 0
+        assert span.tags["tables"] == ["t"]
+        assert span.tags["rows_scanned"] == 3
+        assert span.tags["rows_emitted"] == 2
+        assert span.tags["plan_cache"] == "miss"
+        db.execute("select a from t where b > 10")
+        assert self._last_query(db).tags["plan_cache"] == "hit"
+
+    @pytest.mark.parametrize(
+        "sql, kind, affected",
+        [
+            ("insert into t values (4, 40), (5, 50)", "insert", 2),
+            ("update t set b = 0 where a < 3", "update", 2),
+            ("delete from t where a = 1", "delete", 1),
+        ],
+    )
+    def test_dml_span_carries_rows_affected(self, sql, kind, affected):
+        db = self._db()
+        db.execute(sql)
+        span = self._last_query(db)
+        assert span.name == kind
+        assert span.tags["statement"] == kind
+        assert span.tags["rows_affected"] == affected
+        assert span.tags["plan_cache"] == "miss"
+        snap = db.tracer.metrics.snapshot()
+        assert snap["dml_statements_total"]["value"] == 1
+        assert snap["dml_rows_affected_total"]["value"] == affected
+
+    def test_statement_metrics_count_successes_and_errors(self):
+        db = self._db()
+        db.execute("select a from t")
+        db.execute("alter table t rename to t_away")
+        with pytest.raises(Exception):
+            db.execute("select a from t")
+        span = self._last_query(db)
+        assert span.tags["error"] == "UndefinedTableError"
+        snap = db.tracer.metrics.snapshot()
+        assert snap["queries_total"]["value"] == 3
+        assert snap["query_errors_total"]["value"] == 1
+        assert snap["query_latency_seconds"]["count"] == 3
+        assert snap["rows_scanned_total"]["value"] == 3

@@ -231,6 +231,54 @@ class TestRunLedger:
             }
             assert ledger.metrics(run_id)["caches"] == {"hit_rate": 0.5}
 
+    def test_finish_extraction_records_what_trace_diff_reads(self, tmp_path):
+        from types import SimpleNamespace
+
+        from repro.obs.diff import _view_from_ledger
+
+        path = tmp_path / "ledger.sqlite"
+        outcome = SimpleNamespace(
+            query=None,
+            eqc=None,
+            verdict="budget_exhausted",
+            sql="",
+            caches={
+                "plan_cache": {"hit_rate": 0.9},
+                "workers": {"invocations": 7, "crashes": 1},
+            },
+            stats=SimpleNamespace(
+                modules={"filters": _ModuleStats(0.25, 12)},
+                total_invocations=12,
+                total_seconds=0.5,
+            ),
+        )
+        with RunLedger(path) as ledger:
+            run_id = ledger.begin_run(label="bench")
+            ledger.finish_extraction(run_id, ProvenanceRecorder(), outcome)
+            run = ledger.run(run_id)
+        assert run["status"] == "completed"
+        assert run["extras"]["caches"] == {"plan_cache": {"hit_rate": 0.9}}
+        view = _view_from_ledger(str(path), run_id)
+        assert view.caches == {"plan_cache": 0.9}
+        assert view.workers == {"invocations": 7, "crashes": 1}
+        assert view.invocations == 12
+
+    def test_fail_extraction_marks_paused_or_failed(self, tmp_path):
+        from repro.errors import ExtractionPaused
+
+        with RunLedger(tmp_path / "ledger.sqlite") as ledger:
+            paused = ledger.begin_run(label="serve:job-1")
+            ledger.fail_extraction(
+                paused, ProvenanceRecorder(), ExtractionPaused("drain")
+            )
+            failed = ledger.begin_run(label="extract")
+            ledger.fail_extraction(
+                failed, ProvenanceRecorder(), RuntimeError("boom")
+            )
+            assert ledger.run(paused)["status"] == "paused"
+            assert ledger.run(failed)["status"] == "failed"
+            assert ledger.run(failed)["extras"]["error"] == "boom"
+
     def test_crashed_run_keeps_partial_history(self, tmp_path):
         path = tmp_path / "ledger.sqlite"
         ledger = RunLedger(path)

@@ -492,3 +492,29 @@ class TestHTTPApi:
         finally:
             service.drain(timeout=10.0)
             service.close()
+
+    def test_ledgered_job_records_cache_extras(self, tmp_path):
+        """A serve job's ledger row carries the same ``caches`` extras as a
+        CLI run, so ``repro trace-diff`` can read its cache hit rates."""
+        from repro.obs.ledger import RunLedger
+
+        service = ExtractionService(
+            tmp_path / "journal.sqlite",
+            tmp_path / "checkpoints",
+            workers=1,
+            ledger_path=tmp_path / "ledger.sqlite",
+        )
+        service.start()
+        try:
+            reply = service.submit({"query": "Q6", "scale": 0.0005, "seed": 11})
+            record = wait_terminal(service, reply["job_id"], timeout=120.0)
+            assert record["state"] == "done"
+        finally:
+            service.drain(timeout=10.0)
+            service.close()
+        with RunLedger(tmp_path / "ledger.sqlite") as ledger:
+            run = ledger.run()
+        assert run["status"] == "completed"
+        assert run["label"] == f"serve:{reply['job_id']}"
+        plan_cache = run["extras"]["caches"]["plan_cache"]
+        assert plan_cache["hits"] > 0
