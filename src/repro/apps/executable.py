@@ -51,14 +51,30 @@ class InvocationMemo:
     invocation counts, budget charges, spans, metrics — still happens on a
     hit, so ``stats.invocations`` is independent of cache temperature.
 
-    ``max_rows`` bounds the fingerprint cost: hashing is O(rows), so states
-    larger than the bound bypass the memo (probe states are tiny; the
-    original instance is not).  Thread-safe for the probe scheduler.
+    A key costs O(rows of the tables whose row list is new since it was
+    last fingerprinted): per-table row digests are memoized on the frozen
+    (copy-on-write) row lists, so tables a probe left alone are not hashed
+    again.  ``max_rows`` still bounds the memo to small states — larger ones
+    bypass it (probe states are tiny; the original instance is not).
+    ``key_seconds`` is the keying time summed over all threads, the memo's
+    cost next to its ``hits``.  Thread-safe for the probe scheduler.
     """
 
-    __slots__ = ("capacity", "max_rows", "_entries", "_lock", "hits", "misses", "bypasses")
+    __slots__ = (
+        "capacity",
+        "max_rows",
+        "_entries",
+        "_lock",
+        "hits",
+        "misses",
+        "bypasses",
+        "key_seconds",
+    )
 
-    def __init__(self, capacity: int = 512, max_rows: int = 4096):
+    #: default ``max_rows``; the scheduler's evidence fingerprints share it
+    MAX_ROWS = 4096
+
+    def __init__(self, capacity: int = 512, max_rows: int = MAX_ROWS):
         self.capacity = capacity
         self.max_rows = max_rows
         self._entries: OrderedDict[tuple, Result] = OrderedDict()
@@ -66,14 +82,50 @@ class InvocationMemo:
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
+        self.key_seconds = 0.0
 
     def key_for(self, db: Database, timeout: Optional[float]):
         """The memo key for ``db``'s current state, or None to bypass."""
-        if db.total_rows() > self.max_rows:
-            with self._lock:
+        started = time.perf_counter()
+        bypass = db.total_rows() > self.max_rows
+        key = None if bypass else (db.fingerprint(), timeout)
+        elapsed = time.perf_counter() - started
+        with self._lock:
+            self.key_seconds += elapsed
+            if bypass:
                 self.bypasses += 1
-            return None
-        return (db.fingerprint(), timeout)
+        return key
+
+    def run(self, db: Database, timeout: Optional[float], execute, span=None):
+        """``execute()`` unless ``db``'s state has a memoized result.
+
+        ``execute`` returns the result to memoize, or None for a failure the
+        caller reports another way (which is then returned as is).  Access
+        trace runs never consult the memo: observing the execution is their
+        point.  The run's cache/fingerprint facts are left on
+        ``db.last_invocation`` (private to the invoking thread: the silo
+        sequentially, a replica per scheduler task), where the session's
+        evidence recorder reads them without recomputing the fingerprint.
+        """
+        key = None
+        if not getattr(db, "trace_access", False):
+            key = self.key_for(db, timeout)
+        db.last_invocation = {
+            "cached": False,
+            "fingerprint": key[0] if key is not None else "",
+        }
+        if key is None:
+            return execute()
+        cached = self.lookup(key)
+        if span is not None:
+            span.set_tag("invocation_cache", "miss" if cached is None else "hit")
+        if cached is not None:
+            db.last_invocation["cached"] = True
+            return cached
+        result = execute()
+        if result is not None:
+            self.store(key, result)
+        return result
 
     def lookup(self, key) -> Optional[Result]:
         with self._lock:
@@ -101,6 +153,7 @@ class InvocationMemo:
                 "bypasses": self.bypasses,
                 "entries": len(self._entries),
                 "hit_rate": (self.hits / total) if total else 0.0,
+                "key_seconds": self.key_seconds,
             }
 
 
@@ -157,20 +210,20 @@ class Executable:
             self.invocation_count += 1
         self.last_span = None
         tracer = getattr(db, "tracer", NULL_TRACER)
-        memo = self.memo if self.cacheable else None
-        memo_key = None
-        if memo is not None and not getattr(db, "trace_access", False):
-            memo_key = memo.key_for(db, timeout)
         owns_deadline = (
             timeout is not None and getattr(db, "deadline", None) is None
         )
+
+        def execute():
+            return self._execute(db, timeout)
+
         started = time.perf_counter()
         if owns_deadline:
             db.deadline = started + timeout
         try:
             if not tracer.enabled:
                 try:
-                    return self._execute_memoized(db, timeout, memo, memo_key)
+                    return self.run_memoized(db, timeout, execute)
                 finally:
                     with self._counter_lock:
                         self.total_runtime += time.perf_counter() - started
@@ -180,7 +233,7 @@ class Executable:
                 if tracer.metrics is not None:
                     tracer.metrics.counter("invocations_total").inc()
                 try:
-                    return self._execute_memoized(db, timeout, memo, memo_key, span)
+                    return self.run_memoized(db, timeout, execute, span)
                 finally:
                     elapsed = time.perf_counter() - started
                     with self._counter_lock:
@@ -193,30 +246,17 @@ class Executable:
             if owns_deadline:
                 db.deadline = None
 
-    def _execute_memoized(
-        self, db, timeout, memo, memo_key, span=None
-    ) -> Result:
-        # Expose cache/fingerprint provenance for this run on the database
-        # object (private to the invoking thread: the silo sequentially, a
-        # replica per scheduler task) — the session's evidence recorder reads
-        # it back without recomputing the fingerprint.
-        db.last_invocation = {
-            "cached": False,
-            "fingerprint": memo_key[0] if memo_key is not None else "",
-        }
-        if memo_key is not None:
-            cached = memo.lookup(memo_key)
-            if cached is not None:
-                db.last_invocation["cached"] = True
-                if span is not None:
-                    span.set_tag("invocation_cache", "hit")
-                return cached
-            if span is not None:
-                span.set_tag("invocation_cache", "miss")
-        result = self._execute(db, timeout)
-        if memo_key is not None:
-            memo.store(memo_key, result)
-        return result
+    def run_memoized(self, db, timeout, execute, span=None):
+        """``execute()`` through the attached memo (see
+        :meth:`InvocationMemo.run`); the in-process and the isolated
+        invocation paths both come through here.  Without a memo, or for a
+        flavour that is not :attr:`cacheable`, it just records an uncached
+        ``db.last_invocation``."""
+        memo = self.memo if self.cacheable else None
+        if memo is not None:
+            return memo.run(db, timeout, execute, span)
+        db.last_invocation = {"cached": False, "fingerprint": ""}
+        return execute()
 
     def probe(self, db: Database, timeout: Optional[float] = None) -> Result:
         """Execute with **no accounting whatsoever** — no invocation count,

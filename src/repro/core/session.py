@@ -606,9 +606,3 @@ class ExtractionSession(ProbeSurface):
     def silo_matches_di(self) -> bool:
         """True when the live silo is byte-identical to D_I."""
         return self.silo.fingerprint() == self.di_fingerprint
-
-    def all_query_columns(self) -> list[ColumnNode]:
-        columns: list[ColumnNode] = []
-        for table in self.query.tables:
-            columns.extend(self.table_columns(table))
-        return columns

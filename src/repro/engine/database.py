@@ -38,7 +38,7 @@ from repro.engine.sqlast import (
     SelectStatement,
     Update,
 )
-from repro.engine.storage import TableData
+from repro.engine.storage import TableData, rows_digest
 from repro.obs.trace import NULL_TRACER
 from repro.engine.types import (
     BigIntType,
@@ -134,21 +134,21 @@ class DatabaseSnapshot:
 def _content_fingerprint(
     schemas: dict[str, TableSchema], rows: dict[str, list[tuple]]
 ) -> str:
-    """sha256 over schema signatures and row contents, in table-name order.
+    """sha256 over, in table-name order, each table's name, column signature
+    and row digest (:func:`~repro.engine.storage.rows_digest`).
 
     Row *order* is included: the sandbox guarantee is byte-for-byte
-    restoration, and the engine's scans are order-sensitive.
+    restoration, and the engine's scans are order-sensitive.  Row digests are
+    memoized on frozen row lists, so a fingerprint costs O(rows of the tables
+    whose list is new), not O(all rows).
     """
     digest = hashlib.sha256()
     for name in sorted(schemas):
-        schema = schemas[name]
         digest.update(name.encode())
-        for column in schema.columns:
+        for column in schemas[name].columns:
             digest.update(f"|{column.name}:{column.type!r}".encode())
         digest.update(b"#")
-        for row in rows[name]:
-            digest.update(repr(row).encode())
-            digest.update(b"\n")
+        digest.update(rows_digest(rows[name]))
         digest.update(b"@")
     return digest.hexdigest()
 
@@ -445,10 +445,6 @@ class Database:
 
     def clear_table(self, name: str) -> None:
         self.table(name).clear()
-
-    def clear_all(self) -> None:
-        for data in self._tables.values():
-            data.clear()
 
     def sample_rows(self, name: str, count: int, seed: Optional[int] = None) -> list[tuple]:
         """A uniform random row sample (the engine's TABLESAMPLE stand-in)."""
@@ -770,8 +766,13 @@ class Database:
             self.restore(token)
 
     def fingerprint(self) -> str:
-        """A stable content hash of the live state (schemas + rows)."""
+        """A stable content hash of the live state (schemas + rows).
+
+        Rows are taken via :meth:`~repro.engine.storage.TableData.share_rows`
+        (as a snapshot would), so each table's row digest is memoized on its
+        frozen list and only tables rebound since the last call are hashed.
+        """
         return _content_fingerprint(
             {name: data.schema for name, data in self._tables.items()},
-            {name: data.rows for name, data in self._tables.items()},
+            {name: data.share_rows() for name, data in self._tables.items()},
         )

@@ -10,10 +10,15 @@ internal row list and marks it *shared*; the next in-place mutation copies the
 list first, so the shared reference stays frozen.  Most mutators already
 rebind ``_rows`` to a freshly built list, which makes sharing nearly free —
 the extraction pipeline takes a snapshot around every invocation.
+
+Because a shared list never changes again, its content digest can be computed
+once and kept on the list itself (:class:`FrozenRows`, :func:`rows_digest`):
+a database fingerprint then hashes only the tables whose list is new.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -21,12 +26,51 @@ from repro.engine.catalog import TableSchema
 from repro.errors import TypeMismatchError
 
 
+class FrozenRows(list):
+    """A table's row list, able to memoize the digest of its rows.
+
+    Every list :class:`TableData` builds is one of these.  ``digest`` is set
+    by :func:`rows_digest` only once the list is shared (copy-on-write), and
+    a shared list is never mutated again, so the memoized value stays true.
+    It pickles as a plain list: the digest never crosses a process boundary.
+    """
+
+    __slots__ = ("digest",)
+
+    def __reduce_ex__(self, protocol):
+        return (list, (), None, iter(self))
+
+
+def _hash_rows(rows: Iterable[tuple]) -> bytes:
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(repr(row).encode())
+        digest.update(b"\n")
+    return digest.digest()
+
+
+def rows_digest(rows: Sequence[tuple]) -> bytes:
+    """sha256 of ``rows`` in order: ``repr(row) + "\\n"`` per row.
+
+    Memoized on a :class:`FrozenRows`; any other sequence (a hand-built
+    snapshot's list, say) is hashed afresh on every call.  Callers pass only
+    shared lists (see :meth:`TableData.share_rows`).
+    """
+    if type(rows) is not FrozenRows:
+        return _hash_rows(rows)
+    try:
+        return rows.digest
+    except AttributeError:
+        rows.digest = digest = _hash_rows(rows)
+        return digest
+
+
 class TableData:
     """Rows of a single table, validated against its schema."""
 
     def __init__(self, schema: TableSchema, rows: Iterable[Sequence] = ()):
         self.schema = schema
-        self._rows: list[tuple] = []
+        self._rows: list[tuple] = FrozenRows()
         #: True while ``_rows`` is also referenced by a snapshot and must not
         #: be mutated in place (copy-on-write)
         self._shared = False
@@ -49,7 +93,8 @@ class TableData:
         """The internal row list, frozen for snapshot use.
 
         The list is marked shared: the next in-place mutation copies it
-        first, so the returned reference keeps the snapshot-time contents.
+        first, so the returned reference keeps the snapshot-time contents
+        (and a digest memoized on it stays valid).
         """
         self._shared = True
         return self._rows
@@ -59,17 +104,19 @@ class TableData:
 
         The list stays owned by the snapshot too, so it is adopted in shared
         mode — the same snapshot token can be restored any number of times.
+        A plain list (from a hand-built snapshot) is adopted as is; it only
+        forgoes digest memoization until the next mutation replaces it.
         """
         self._rows = rows
         self._shared = True
 
     def _mutable_rows(self) -> list[tuple]:
         if self._shared:
-            self._rows = list(self._rows)
+            self._rows = FrozenRows(self._rows)
             self._shared = False
         return self._rows
 
-    def _rebind(self, rows: list[tuple]) -> None:
+    def _rebind(self, rows: FrozenRows) -> None:
         self._rows = rows
         self._shared = False
 
@@ -93,13 +140,13 @@ class TableData:
             self.insert(row)
 
     def clear(self) -> None:
-        self._rebind([])
+        self._rebind(FrozenRows())
 
     def replace_all(self, rows: Iterable[Sequence]) -> None:
-        self._rebind([self.coerce_row(row) for row in rows])
+        self._rebind(FrozenRows(map(self.coerce_row, rows)))
 
     def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
-        kept = [row for row in self._rows if not predicate(row)]
+        kept = FrozenRows(row for row in self._rows if not predicate(row))
         deleted = len(self._rows) - len(kept)
         self._rebind(kept)
         return deleted
@@ -110,7 +157,7 @@ class TableData:
         updater: Callable[[tuple], Sequence],
     ) -> int:
         updated = 0
-        new_rows = []
+        new_rows = FrozenRows()
         for row in self._rows:
             if predicate(row):
                 new_rows.append(self.coerce_row(updater(row)))
@@ -124,17 +171,19 @@ class TableData:
         """Assign ``value`` to ``column`` in every row (bulk mutation helper)."""
         idx = self.schema.column_index(column)
         coerced = self.schema.column(column).type.coerce(value)
-        self._rebind([row[:idx] + (coerced,) + row[idx + 1 :] for row in self._rows])
+        self._rebind(
+            FrozenRows(row[:idx] + (coerced,) + row[idx + 1 :] for row in self._rows)
+        )
 
     def map_column(self, column: str, fn: Callable) -> None:
         """Apply ``fn`` to ``column`` in every row (e.g. the Negate mutation)."""
         idx = self.schema.column_index(column)
         col_type = self.schema.column(column).type
         self._rebind(
-            [
+            FrozenRows(
                 row[:idx] + (col_type.coerce(fn(row[idx])),) + row[idx + 1 :]
                 for row in self._rows
-            ]
+            )
         )
 
     # -- read helpers --------------------------------------------------------
@@ -152,5 +201,5 @@ class TableData:
 
     def copy(self) -> "TableData":
         clone = TableData(self.schema)
-        clone._rows = list(self._rows)
+        clone._rows = FrozenRows(self._rows)
         return clone

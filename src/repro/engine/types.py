@@ -197,10 +197,6 @@ def date_to_ordinal(d: datetime.date) -> int:
     return d.toordinal()
 
 
-def ordinal_to_date(n: int) -> datetime.date:
-    return datetime.date.fromordinal(n)
-
-
 def format_sql_literal(value: Any) -> str:
     """Render a Python value as a SQL literal in the engine's dialect."""
     if value is None:

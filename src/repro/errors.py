@@ -73,10 +73,6 @@ class TypeMismatchError(DatabaseError):
     """A value or expression is incompatible with the expected SQL type."""
 
 
-class IntegrityError(DatabaseError):
-    """A DML operation violated an active integrity constraint."""
-
-
 class ExecutionError(DatabaseError):
     """A runtime failure while executing a query (e.g. division by zero)."""
 

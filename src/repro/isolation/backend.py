@@ -178,21 +178,20 @@ class ProcessIsolationBackend:
         return reply["result"]
 
     def _transport(self, db, timeout, span) -> dict:
-        """Memo lookup, worker round-trip, access-log mirror, memo store."""
-        executable = self.executable
+        """Worker round-trip and access-log mirror, through the executable's
+        invocation memo (the same :meth:`Executable.run_memoized` an
+        in-process run takes, so memo hits and fingerprints reach
+        provenance identically)."""
         trace_access = bool(getattr(db, "trace_access", False))
-        memo = executable.memo if executable.cacheable else None
-        memo_key = None
-        if memo is not None and not trace_access:
-            memo_key = memo.key_for(db, timeout)
-        if memo_key is not None:
-            cached = memo.lookup(memo_key)
-            if span is not None:
-                span.set_tag("invocation_cache", "miss" if cached is None else "hit")
-            if cached is not None:
-                return {"ok": True, "result": cached, "stats": {}}
-        try:
+        reply = None
+
+        def round_trip():
+            nonlocal reply
             reply = self.pool.invoke(db, timeout, trace_access=trace_access)
+            return reply["result"] if reply.get("ok") else None
+
+        try:
+            result = self.executable.run_memoized(db, timeout, round_trip, span)
         except ExecutableTimeoutError:
             if span is not None:
                 span.set_tags(timed_out=True, hard_kill=True)
@@ -203,11 +202,11 @@ class ProcessIsolationBackend:
             raise
         finally:
             self._mirror_injected()
+        if reply is None:  # a memo hit: no worker was asked
+            return {"ok": True, "result": result, "stats": {}}
         stats = reply.get("stats") or {}
         if trace_access and "access_log" in stats:
             db.access_log.extend(stats["access_log"])
-        if memo_key is not None and reply.get("ok"):
-            memo.store(memo_key, reply["result"])
         return reply
 
     def _mirror_injected(self) -> None:

@@ -491,7 +491,9 @@ def _deltas(shipped: dict, db) -> dict:
         if prev is not None and prev[0] == schema and prev[1] is rows:
             continue
         shipped[name] = (schema, rows)
-        deltas[name] = {"schema": schema, "rows": rows}
+        # a plain list pickles as one opcode; the shared FrozenRows would
+        # pickle through its reduce and add a class reference per table
+        deltas[name] = {"schema": schema, "rows": list(rows)}
     return deltas
 
 

@@ -169,9 +169,14 @@ def _cache_lines(roots: list[Span]) -> list[str]:
         for label, key in (("plan", "plan_cache"), ("invocation", "invocation_cache")):
             stats = caches.get(key)
             if isinstance(stats, dict) and "hit_rate" in stats:
+                keying = (
+                    f", {stats['key_seconds']:.3f}s keying"
+                    if "key_seconds" in stats
+                    else ""
+                )
                 parts.append(
                     f"{label} {stats['hit_rate']:.0%} hit"
-                    f" ({stats.get('hits', 0)} hits)"
+                    f" ({stats.get('hits', 0)} hits{keying})"
                 )
         if parts:
             lines.append("caches: " + ", ".join(parts))

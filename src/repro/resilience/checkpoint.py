@@ -42,8 +42,9 @@ from repro.resilience.diskfaults import (
 logger = logging.getLogger("repro.resilience.checkpoint")
 
 #: bumped whenever the snapshot layout changes incompatibly
-#: (v2: sha-256 checksum envelope + quarantine-on-corruption)
-CHECKPOINT_VERSION = 2
+#: (v2: sha-256 checksum envelope + quarantine-on-corruption;
+#: v3: ``di_fingerprint`` hashes per-table row digests)
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointStore:

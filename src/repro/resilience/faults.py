@@ -204,10 +204,6 @@ class FaultyExecutable(Executable):
             "crash": 0,
         }
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     def run(self, db: Database, timeout: Optional[float] = None) -> Result:
         self.invocation_count += 1
         if self.plan.crash_at is not None and self.invocation_count == self.plan.crash_at:

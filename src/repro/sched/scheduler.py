@@ -51,6 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional
 
+from repro.apps.executable import InvocationMemo
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import NULL_PROVENANCE, ProvenanceRecorder
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -396,7 +397,7 @@ class ProbeScheduler:
             # probe states only, and only when someone is recording
             fingerprint = (
                 db.fingerprint()
-                if provenance.enabled and db_rows <= 4096
+                if provenance.enabled and db_rows <= InvocationMemo.MAX_ROWS
                 else ""
             )
             started = time.perf_counter()

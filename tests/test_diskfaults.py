@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import StorageExhausted
 from repro.obs.ledger import RunLedger
-from repro.resilience.checkpoint import CheckpointStore
+from repro.resilience.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 from repro.resilience.diskfaults import (
     DISK_FAULT_CLASSES,
     FaultyFS,
@@ -98,15 +98,17 @@ class TestCheckpointHardening:
     def test_enospc_on_save_raises_storage_exhausted(self, tmp_path):
         store = CheckpointStore(tmp_path, fs=FaultyFS("enospc"))
         with pytest.raises(StorageExhausted) as info:
-            store.save({"version": 2, "completed": []})
+            store.save({"version": CHECKPOINT_VERSION, "completed": []})
         assert info.value.store == "checkpoint"
 
     def test_torn_checkpoint_quarantined_on_load(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save({"version": 2, "completed": ["setup"], "degradations": []})
+        store.save(
+            {"version": CHECKPOINT_VERSION, "completed": ["setup"], "degradations": []}
+        )
         with pytest.raises(InjectedStorageCrash):
             CheckpointStore(tmp_path, fs=FaultyFS("torn_write")).save(
-                {"version": 2, "completed": ["setup", "from_clause"],
+                {"version": CHECKPOINT_VERSION, "completed": ["setup", "from_clause"],
                  "degradations": []}
             )
         fresh = CheckpointStore(tmp_path)
@@ -116,11 +118,13 @@ class TestCheckpointHardening:
 
     def test_lost_fsync_preserves_previous_checkpoint(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        state = {"version": 2, "completed": ["setup"], "degradations": []}
+        state = {
+            "version": CHECKPOINT_VERSION, "completed": ["setup"], "degradations": []
+        }
         store.save(state)
         with pytest.raises(InjectedStorageCrash):
             CheckpointStore(tmp_path, fs=FaultyFS("lost_fsync")).save(
-                {"version": 2, "completed": ["setup", "from_clause"],
+                {"version": CHECKPOINT_VERSION, "completed": ["setup", "from_clause"],
                  "degradations": []}
             )
         # the never-durable write is simply absent; the old state survives
@@ -242,7 +246,7 @@ class TestLedgerHardening:
 
 def test_checkpoint_checksum_mismatch_is_quarantined(tmp_path):
     store = CheckpointStore(tmp_path)
-    store.save({"version": 2, "completed": [], "degradations": []})
+    store.save({"version": CHECKPOINT_VERSION, "completed": [], "degradations": []})
     raw = json.loads(store.path.read_text())
     raw["completed"] = ["forged"]  # content changed, checksum stale
     store.path.write_text(json.dumps(raw))

@@ -322,6 +322,31 @@ class TestCheckpointStaleness:
         assert "fingerprint mismatch" in str(exc.value)
         assert "--fresh" in str(exc.value)
 
+    def test_version_2_checkpoint_refused_by_version_not_fingerprint(
+        self, tmp_path
+    ):
+        from repro.resilience.checkpoint import CHECKPOINT_VERSION, CheckpointStore
+
+        db = tpch.build_database(scale=0.0005, seed=11)
+        self._plant_checkpoint(db, tmp_path)
+        store = CheckpointStore(tmp_path)
+        state = store.load()
+        assert state["version"] == CHECKPOINT_VERSION == 3
+        # a version-2 checkpoint of the same instance: its di_fingerprint was
+        # a sha256 over every row, so it differs from today's digest
+        state["version"] = 2
+        state["fingerprint"]["di_fingerprint"] = "0" * 64
+        store.save(state)
+        app = SQLExecutable(
+            "select sum(l_extendedprice) from lineitem", obfuscate_text=True
+        )
+        with pytest.raises(CheckpointError) as exc:
+            UnmasqueExtractor(
+                db, app, ExtractionConfig(), checkpoint_dir=tmp_path
+            ).extract()
+        assert "has version 2; this build reads version 3" in str(exc.value)
+        assert "fingerprint mismatch" not in str(exc.value)
+
     def test_cli_fresh_discards_stale_checkpoint(self, tmp_path):
         from repro.resilience.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 

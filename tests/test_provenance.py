@@ -392,6 +392,17 @@ class TestReportSelfTime:
         assert "caches: plan 90% hit (90 hits), invocation 50% hit (10 hits)" in report
         assert "workers: 20 invocations, 1 crashes, 2 kills, 3 respawns" in report
 
+    def test_memo_keying_cost_surfaces_in_report(self):
+        from repro.obs.report import render_trace_report
+
+        stats = {"hit_rate": 0.25, "hits": 5, "key_seconds": 0.0123}
+        root = self._span(
+            1, None, "extraction", "pipeline", 0.0, 1.0,
+            tags={"caches": {"invocation_cache": stats}},
+        )
+        report = render_trace_report([root])
+        assert "caches: invocation 25% hit (5 hits, 0.012s keying)" in report
+
 
 class TestTraceDiff:
     def _make_run(self, ledger, seconds, sql, modules):
