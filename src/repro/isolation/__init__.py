@@ -24,15 +24,11 @@ extraction or corrupt its checkpoints:
 * :mod:`repro.isolation.backend` — the :class:`ProcessIsolationBackend` the
   session delegates to under ``--isolate process`` and ``--isolate remote``;
   it picks the pool's handle factory from ``config.isolate``.
-"""
 
-from repro.isolation.backend import ProcessIsolationBackend, spec_from_config
-from repro.isolation.supervisor import (
-    PoolStats,
-    WorkerHandle,
-    WorkerPool,
-    WorkerSpec,
-)
+Exports are resolved lazily (PEP 562): a worker process runs
+``python -m repro.isolation.worker``, which initialises this package first,
+and an eager init would load the backend and supervisor into every worker.
+"""
 
 __all__ = [
     "PoolStats",
@@ -42,3 +38,28 @@ __all__ = [
     "WorkerSpec",
     "spec_from_config",
 ]
+
+_EXPORTS = {
+    "ProcessIsolationBackend": "repro.isolation.backend",
+    "spec_from_config": "repro.isolation.backend",
+    "PoolStats": "repro.isolation.supervisor",
+    "WorkerHandle": "repro.isolation.supervisor",
+    "WorkerPool": "repro.isolation.supervisor",
+    "WorkerSpec": "repro.isolation.supervisor",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

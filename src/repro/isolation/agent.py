@@ -123,6 +123,7 @@ class _Connection:
         if cmd == "shutdown":
             if self.worker is not None:
                 self.worker.shutdown()
+                self.worker.reap()
                 self.worker = None
             self._reply({"ok": True, **meta})
             return False
@@ -146,14 +147,16 @@ class _Connection:
             self.worker.kill()
             self.worker = None
         try:
-            self.worker = WorkerHandle(self.agent.spec, bytes(blob))
+            worker = WorkerHandle(self.agent.spec, bytes(blob))
+            worker.handshake()
         except (ExtractionError, OSError) as error:
             return self._reply(
                 {"ok": False,
                  "error": RuntimeError(f"agent failed to spawn a worker: {error}"),
                  **meta}
             )
-        return self._reply({"ok": True, "pid": self.worker.pid, **meta})
+        self.worker = worker
+        return self._reply({"ok": True, "pid": worker.pid, **meta})
 
     def _handle_run(self, message: dict, meta: dict) -> bool:
         if self.worker is None or not self.worker.alive:

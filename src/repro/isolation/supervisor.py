@@ -119,8 +119,10 @@ class WorkerDied(Exception):
 class WorkerHandle:
     """One local worker subprocess behind a :class:`PipeTransport`.
 
-    Constructing a handle spawns the process and completes the init
-    handshake.  The in-process pool and the remote
+    Constructing a handle starts the process and sends it the ``init``
+    frame without waiting for the reply; :meth:`handshake` completes the
+    init handshake.  Splitting the two lets the pool boot every slot's
+    interpreter at once.  The in-process pool and the remote
     :mod:`repro.isolation.agent` (which supervises a local worker on behalf
     of a network supervisor) both spawn through here.
     """
@@ -153,8 +155,25 @@ class WorkerHandle:
         #: object both detects changes (identity) and pins its id
         self.shipped: dict[str, tuple] = {}
         self.last_injected: dict[str, int] = {}
+        #: the worker's pid as it reported it; None until the handshake
+        self.pid: Optional[int] = None
         try:
             self.transport.send({"cmd": "init", "executable": executable_blob})
+        except OSError as error:
+            self.kill()
+            raise ExtractionError(
+                f"isolated worker failed to initialise: {error}"
+            ) from None
+
+    def handshake(self) -> None:
+        """Wait for the worker's ``init`` reply; a no-op once it succeeded.
+
+        Raises :class:`~repro.errors.ExtractionError` (worker reaped) when
+        the worker times out, dies, or cannot unpickle the executable.
+        """
+        if self.pid is not None:
+            return
+        try:
             reply = self.transport.recv(_SPAWN_TIMEOUT)
         except TransportTimeout:
             self.kill()
@@ -215,14 +234,20 @@ class WorkerHandle:
                 pass
 
     def shutdown(self) -> None:
-        """Polite exit, escalating to SIGKILL."""
-        if self.proc.poll() is None:
+        """Ask the worker to exit without waiting; :meth:`reap` waits."""
+        if self.proc.poll() is None and not self.proc.stdin.closed:
             try:
                 write_frame(self.proc.stdin, {"cmd": "shutdown"})
                 self.proc.stdin.close()
-                self.proc.wait(timeout=2)
             except Exception:
                 pass
+
+    def reap(self) -> None:
+        """Wait for an exit :meth:`shutdown` asked for, escalating to SIGKILL."""
+        try:
+            self.proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            pass
         self.kill()
 
     def exit_kind(self) -> str:
@@ -240,19 +265,54 @@ class WorkerHandle:
 class LocalHandleFactory:
     """Handle factory for ``--isolate process``: a subprocess per handle.
 
-    Workers spawn lazily, on a slot's first invocation; a slot whose worker
-    died gets a fresh one, and only that replacement is a respawn.
+    A pool that is never invoked spawns nothing.  Its first invocation
+    starts every slot's worker at once — process start plus ``init`` frame —
+    and each worker completes its handshake on the lease that first takes
+    it, so the interpreters boot in parallel rather than one per slot's
+    first lease.  A slot whose worker died gets a fresh one, and only that
+    replacement is a respawn.
     """
 
     def attach(self, pool: "WorkerPool") -> None:
         self.pool = pool
+        self._lock = threading.Lock()
+        #: every worker started and not yet replaced, leased or not;
+        #: :meth:`close` reaps them all
+        self.workers: list[WorkerHandle] = []
+        #: started workers no slot has taken yet; None until the first
+        #: invocation boots the pool
+        self._unleased: Optional[list[WorkerHandle]] = None
 
     def ready(self, handle: Optional[WorkerHandle]) -> WorkerHandle:
         if handle is not None and handle.alive:
             return handle
         if handle is not None:
             self.pool.charge_respawn()
-        return WorkerHandle(self.pool.spec, self.pool.executable_blob)
+            with self._lock:
+                self.workers.remove(handle)
+                fresh = self._start()
+        else:
+            fresh = self._first_worker()
+        fresh.handshake()
+        return fresh
+
+    def _first_worker(self) -> WorkerHandle:
+        """A slot's first worker: boots the pool on its first invocation."""
+        with self._lock:
+            if self._unleased is None:
+                self._unleased = []
+                for _ in self.pool.slot_locks:
+                    self._unleased.append(self._start())
+            if self._unleased:
+                return self._unleased.pop()
+            # a slot whose first worker failed its handshake
+            return self._start()
+
+    def _start(self) -> WorkerHandle:
+        """Start one worker; caller holds the factory lock."""
+        worker = WorkerHandle(self.pool.spec, self.pool.executable_blob)
+        self.workers.append(worker)
+        return worker
 
     def quarantined(self, reason: str, crashes: int, respawns: int):
         return WorkerQuarantined(reason, crashes, respawns)
@@ -261,7 +321,17 @@ class LocalHandleFactory:
         return {}
 
     def close(self) -> None:
-        pass
+        """Reap every worker; the pool has asked its slots' workers to exit.
+
+        A worker no slot ever took holds no state and is killed outright.
+        """
+        with self._lock:
+            for worker in self._unleased or ():
+                worker.kill()
+            self._unleased = []
+            workers = list(self.workers)
+        for worker in workers:
+            worker.reap()
 
 
 @dataclass
@@ -367,12 +437,14 @@ class WorkerPool:
             if self.closed:
                 return
             self.closed = True
-        self.factory.close()
         for slot, handle in enumerate(self._handles):
             if handle is not None:
                 with self.slot_locks[slot]:
                     self._absorb_injected(handle)
                     handle.shutdown()
+        # after every slot's worker was asked to exit, so a local close
+        # waits for one worker's exit, not the sum of them
+        self.factory.close()
 
     # -- ledger hooks for handle factories ----------------------------------
 

@@ -20,6 +20,15 @@ Hostile-application containment is split between the two processes:
 Anything the application prints must not corrupt the frame stream, so the
 protocol runs on a private dup of stdout and fd 1 is pointed at stderr
 before the first request is read.
+
+A worker imports only what it needs to serve frames — the engine and the
+protocol — and whatever its ``init`` frame's executable pulls in as it is
+unpickled (``repro.apps.*``, ``repro.resilience.faults`` for a chaos
+wrapper).  It never loads the extraction pipeline (``repro.core``), so its
+interpreter boots in a fraction of the supervisor's import time; the package
+inits it passes through (``repro.isolation``, ``repro.obs``,
+``repro.resilience``) resolve their exports lazily to keep it that way.
+``tests/test_isolation.py`` pins this import closure.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ import sys
 import time
 from typing import Optional
 
-import repro.core.pipeline  # noqa: F401  (see comment below)
 from repro.engine.database import Database
 from repro.isolation.protocol import (
     EXIT_MEMORY,
@@ -38,12 +46,6 @@ from repro.isolation.protocol import (
     read_frame,
     write_frame,
 )
-
-# The pipeline import above is deliberate: unpickling an executable can pull
-# in arbitrary repro modules (e.g. repro.resilience.faults for a chaos
-# wrapper), and importing repro.resilience as a *package* first would trip
-# its import cycle with repro.core.  Importing the pipeline stack up front
-# reproduces the supervisor's canonical import order.
 
 
 class _RowsTally:

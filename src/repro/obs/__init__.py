@@ -27,33 +27,12 @@ Tracing is **opt-in and zero-cost when off**: every instrumented call site
 goes through :data:`~repro.obs.trace.NULL_TRACER` by default, whose
 ``span()`` returns one shared no-op context manager (no allocation, no
 timing, no branching beyond a single ``enabled`` check on hot paths).
-"""
 
-from repro.obs.diff import render_diff
-from repro.obs.ledger import RunLedger
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.provenance import (
-    NULL_PROVENANCE,
-    EvidenceEvent,
-    NullProvenance,
-    ProvenanceRecorder,
-    clause_evidence,
-    query_clauses,
-    render_explain,
-)
-from repro.obs.report import render_trace_report
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    read_jsonl,
-)
+Exports are resolved lazily (PEP 562): :mod:`repro.engine.database`
+imports :mod:`repro.obs.trace` at module load — isolation workers included —
+and an eager package init would drag the ledger, report, provenance and
+diff modules in with it.
+"""
 
 __all__ = [
     "Counter",
@@ -76,3 +55,41 @@ __all__ = [
     "render_explain",
     "render_trace_report",
 ]
+
+_EXPORTS = {
+    "render_diff": "repro.obs.diff",
+    "RunLedger": "repro.obs.ledger",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "NULL_PROVENANCE": "repro.obs.provenance",
+    "EvidenceEvent": "repro.obs.provenance",
+    "NullProvenance": "repro.obs.provenance",
+    "ProvenanceRecorder": "repro.obs.provenance",
+    "clause_evidence": "repro.obs.provenance",
+    "query_clauses": "repro.obs.provenance",
+    "render_explain": "repro.obs.provenance",
+    "render_trace_report": "repro.obs.report",
+    "NULL_TRACER": "repro.obs.trace",
+    "NullTracer": "repro.obs.trace",
+    "Span": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "read_jsonl": "repro.obs.trace",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -94,3 +94,23 @@ class RowCounter(Executable):
 
     def _execute(self, db, timeout):
         return Result(["count"], [(db.row_count("nation"),)])
+
+
+def _refuse_rebuild(name: str):
+    raise RuntimeError(f"{name} cannot be rebuilt in a worker")
+
+
+class UnpickleFails(Executable):
+    """Pickles in the supervisor, refuses to unpickle in the worker.
+
+    Its ``init`` handshake always fails — a probe for how the pool reports
+    a worker that never becomes ready.
+    """
+
+    name = "unpickle-fails"
+
+    def __reduce__(self):
+        return (_refuse_rebuild, (self.name,))
+
+    def _execute(self, db, timeout):
+        return Result.empty()

@@ -22,6 +22,7 @@ from repro.engine.database import Database
 from repro.engine.types import IntegerType, VarcharType
 from repro.errors import (
     ExecutableTimeoutError,
+    ExtractionError,
     UndefinedTableError,
     WorkerCrashedError,
     WorkerQuarantined,
@@ -29,6 +30,7 @@ from repro.errors import (
 from repro.isolation.agent import WorkerAgent
 from repro.isolation.protocol import ProtocolError, pack_executable
 from repro.isolation.remote import RemoteHandleFactory, RemoteSpec
+from repro.isolation import supervisor
 from repro.isolation.supervisor import WorkerPool, WorkerSpec
 from repro.obs import MetricsRegistry, Tracer
 
@@ -40,6 +42,7 @@ from tests.isolation_workloads import (
     MemoryHog,
     RowCounter,
     TablePrinter,
+    UnpickleFails,
 )
 
 
@@ -272,6 +275,104 @@ class TestWorkerPoolOverTcp(TestWorkerPool):
     """The same contract, on TCP handles to a loopback worker agent."""
 
     handle_kind = "remote"
+
+
+class TestConcurrentBoot:
+    """Local pools start every slot's worker together on the first invocation."""
+
+    handle_kind = "process"
+
+    def test_first_invocation_starts_every_slot(self, pool_factory):
+        pool = pool_factory(RowCounter(), pool_size=2)
+        assert pool.invoke(nation_db(), None)["ok"]
+        workers = pool.factory.workers
+        assert len(workers) == 2
+        assert all(worker.alive for worker in workers)
+        assert pool.stats.restarts == pool.respawns == 0
+
+    def test_uninvoked_pool_spawns_nothing(self, pool_factory, monkeypatch):
+        started = []
+
+        class Spy(supervisor.WorkerHandle):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "WorkerHandle", Spy)
+        pool = pool_factory(RowCounter(), pool_size=2)
+        pool.close()
+        assert started == []
+
+    def test_failed_handshake_fails_every_first_lease(self, pool_factory):
+        pool = pool_factory(UnpickleFails(), pool_size=2)
+        db = nation_db()
+        messages = []
+        for _ in range(2):  # serial invocations rotate through both slots
+            with pytest.raises(ExtractionError) as info:
+                pool.invoke(db, None)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "unpickle-fails cannot be rebuilt" in messages[0]
+        assert pool._handles == [None, None]
+        assert pool.stats.restarts == pool.respawns == 0
+        assert pool.stats.crashes == 0
+        assert all(worker.proc.returncode is not None
+                   for worker in pool.factory.workers)
+
+    def test_close_reaps_every_started_worker(self, pool_factory):
+        pool = pool_factory(RowCounter(), pool_size=3)
+        assert pool.invoke(nation_db(), None)["ok"]
+        workers = list(pool.factory.workers)
+        assert len(workers) == 3  # one leased slot, two never leased
+        pool.close()
+        assert all(worker.proc.returncode is not None for worker in workers)
+
+
+class TestWorkerImportClosure:
+    """A worker imports only what it unpickles — never the pipeline stack."""
+
+    def test_worker_unpickles_without_core(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        import tests.isolation_workloads
+        from repro.apps.enki import registry
+        from repro.resilience.faults import FAULT_PROFILES, FaultyExecutable
+
+        command = next(iter(registry.commands.values())).executable()
+        blobs = [
+            pack_executable(executable)
+            for executable in (
+                SQLExecutable("select n_name from nation"),
+                command,
+                FaultyExecutable(command, FAULT_PROFILES["crash"]),
+                Aborter(),
+            )
+        ]
+        roots = [
+            os.path.dirname(os.path.dirname(os.path.abspath(module.__file__)))
+            for module in (repro, tests.isolation_workloads)
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(roots))
+        probe = (
+            "import pickle, sys\n"
+            "import repro.isolation.worker\n"
+            "for blob in pickle.load(sys.stdin.buffer):\n"
+            "    pickle.loads(blob)\n"
+            "heavy = ('repro.core', 'networkx', 'numpy')\n"
+            "print(sorted(name for name in sys.modules if name in heavy))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            input=pickle.dumps(blobs),
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().strip() == "[]"
 
 
 class TestIsolatedExtraction:
