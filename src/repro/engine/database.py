@@ -694,7 +694,11 @@ class Database:
     # -- cloning / silos -----------------------------------------------------------
 
     def clone(self, with_data: bool = True) -> "Database":
-        """An independent copy (the extraction silo of paper §3.2)."""
+        """An independent copy (the extraction silo of paper §3.2).
+
+        O(tables): each table's rows are shared copy-on-write, so a silo's
+        untouched tables keep the source's row-list identity.
+        """
         clone = Database()
         clone.catalog = self.catalog.copy()
         clone.tracer = self.tracer

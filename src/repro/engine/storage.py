@@ -9,7 +9,8 @@ Snapshot support is copy-on-write: :meth:`TableData.share_rows` hands out the
 internal row list and marks it *shared*; the next in-place mutation copies the
 list first, so the shared reference stays frozen.  Most mutators already
 rebind ``_rows`` to a freshly built list, which makes sharing nearly free —
-the extraction pipeline takes a snapshot around every invocation.
+the extraction pipeline takes a snapshot around every invocation, and
+:meth:`TableData.copy` (so ``Database.clone``) shares the same way.
 
 Because a shared list never changes again, its content digest can be computed
 once and kept on the list itself (:class:`FrozenRows`, :func:`rows_digest`):
@@ -200,6 +201,8 @@ class TableData:
         return rng.sample(self._rows, count)
 
     def copy(self) -> "TableData":
+        """An independent copy in O(1): both sides share the row list
+        copy-on-write, so its identity (and memoized digest) carries over."""
         clone = TableData(self.schema)
-        clone._rows = FrozenRows(self._rows)
+        clone.adopt_rows(self.share_rows())
         return clone

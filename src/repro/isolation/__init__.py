@@ -13,7 +13,8 @@ extraction or corrupt its checkpoints:
 * :mod:`repro.isolation.supervisor` — the one :class:`WorkerPool`: slot
   leasing, hard deadlines, crash classification, respawn and quarantine
   policy, delta shipping and pool metrics over handles built by a handle
-  factory; and the local handle kind, :class:`WorkerHandle` (a subprocess);
+  factory; the local handle kind, :class:`WorkerHandle` (a subprocess); and
+  the stash that keeps healthy local workers warm between extractions;
 * :mod:`repro.isolation.remote` — the TCP handle kind: a connection to a
   worker agent with lease epochs and fencing tokens, EWMA failure
   detection, heartbeats, capped-backoff reconnect with peer failover

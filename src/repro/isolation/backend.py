@@ -48,7 +48,12 @@ import time
 from typing import Optional
 
 from repro.errors import ExecutableTimeoutError, WorkerCrashedError
-from repro.isolation.supervisor import WorkerPool, WorkerSpec
+from repro.isolation.supervisor import (
+    PARKED_WORKERS,
+    LocalHandleFactory,
+    WorkerPool,
+    WorkerSpec,
+)
 from repro.obs.trace import NULL_TRACER
 
 
@@ -71,9 +76,13 @@ def spec_from_config(config) -> WorkerSpec:
 
 
 def handle_factory(config):
-    """The pool's handle factory for ``config.isolate``; None means local."""
+    """The pool's handle factory for ``config.isolate``.
+
+    Local pools share :data:`~repro.isolation.supervisor.PARKED_WORKERS`, so
+    a healthy worker outlives its extraction and serves the next one.
+    """
     if config.isolate != "remote":
-        return None
+        return LocalHandleFactory(stash=PARKED_WORKERS)
     from repro.isolation.protocol import secret_from_env
     from repro.isolation.remote import (
         PeerHealthRegistry,
@@ -215,11 +224,24 @@ class ProcessIsolationBackend:
         The worker runs its *own* reconstruction of the executable, so fault
         bookkeeping accumulates over there; survival reports read the local
         wrapper's ``injected`` dict, which this keeps authoritative.
+
+        A worker that injected a crash or a hang died or was killed before
+        it could reply, so those two kinds are counted here instead: the
+        fault plan's hard draw is stateless per ordinal, and each abnormal
+        exit whose ordinal drew that fault is one injection.
         """
         injected = getattr(self.executable, "injected", None)
-        if isinstance(injected, dict):
-            for kind, count in self.pool.injected_totals().items():
-                injected[kind] = count
+        if not isinstance(injected, dict):
+            return
+        totals = self.pool.injected_totals()
+        plan = getattr(self.executable, "plan", None)
+        if plan is not None:
+            for exit_kind, ordinal in list(self.pool.hard_exits):
+                fault = "hang" if exit_kind == "kill" else "crash"
+                if plan.draw_hard(ordinal) == fault:
+                    totals[fault] = totals.get(fault, 0) + 1
+        for kind, count in totals.items():
+            injected[kind] = count
 
     def close(self) -> None:
         self._mirror_injected()

@@ -506,6 +506,9 @@ class RemoteHandleFactory:
     def health(self) -> dict:
         return {"peers": self.registry.snapshot()}
 
+    def release(self, handle: RemoteWorkerHandle) -> None:
+        handle.shutdown()
+
     def close(self) -> None:
         self._heartbeat_stop.set()
         if self._heartbeat_thread is not None:

@@ -43,10 +43,19 @@ reference pins the id against reuse).  The ledger is committed only once the
 worker answers, so a request lost on the wire re-ships the same tables on
 retry.  A fresh worker starts with an empty ship-state and receives the
 full silo on its first run.
+
+Local workers can outlive their pool.  A pool built with the process-wide
+:data:`PARKED_WORKERS` stash (the isolation backend's pools are) parks each
+healthy worker at close instead of shutting it down, and the next such pool
+re-initialises it with its own executable instead of spawning.  The handle
+keeps its ``shipped`` ledger — the worker's resident replica is unchanged —
+so a silo that shares row lists with the previous one (``Database.clone``
+is copy-on-write) ships only the tables that differ.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import queue
 import signal
@@ -154,8 +163,23 @@ class WorkerHandle:
         #: table → (schema, shipped row-list reference); holding the list
         #: object both detects changes (identity) and pins its id
         self.shipped: dict[str, tuple] = {}
+        #: True from sending a run request until its reply arrives; a worker
+        #: left in flight may still write that reply, so it is never parked
+        self.in_flight = False
+        self.send_init(executable_blob)
+
+    def send_init(self, executable_blob: bytes) -> None:
+        """Send an ``init`` frame; :meth:`handshake` waits for its reply.
+
+        The worker accepts ``init`` at any time, so a parked worker is
+        re-initialised the same way with the next pool's executable.  That
+        resets the chaos-injection counts (the worker unpickles a fresh
+        executable) and keeps ``shipped``, which still describes the
+        worker's resident replica.
+        """
         self.last_injected: dict[str, int] = {}
-        #: the worker's pid as it reported it; None until the handshake
+        #: the worker's pid as it reported it; None while a handshake is
+        #: pending
         self.pid: Optional[int] = None
         try:
             self.transport.send({"cmd": "init", "executable": executable_blob})
@@ -195,15 +219,23 @@ class WorkerHandle:
     def alive(self) -> bool:
         return self.proc.poll() is None
 
+    @property
+    def parkable(self) -> bool:
+        """Alive, initialised, and with no request awaiting its reply."""
+        return self.pid is not None and not self.in_flight and self.alive
+
     def run(self, message: dict, deadline_seconds: float) -> dict:
         """Send one request and read its reply under a hard deadline.
 
         Raises :class:`HardTimeout` (worker SIGKILLed) when the deadline
         expires and :class:`WorkerDied` when the pipe closes mid-reply.
         """
+        self.in_flight = True
         try:
             self.transport.send(message)
-            return self.transport.recv(deadline_seconds)
+            reply = self.transport.recv(deadline_seconds)
+            self.in_flight = False
+            return reply
         except TransportTimeout:
             self.kill()
             raise HardTimeout() from None
@@ -262,6 +294,57 @@ class WorkerHandle:
         return f"exit-{code}"
 
 
+class WorkerStash:
+    """Idle local workers kept warm between pools, keyed by memory cap.
+
+    The cap is the only worker property fixed at spawn (``RLIMIT_AS``);
+    everything else arrives with ``init`` or per request.  The stash holds
+    at most as many workers as the largest pool that uses it, so parked
+    workers never outnumber one pool's slots.  Parked workers are shut down
+    and reaped at interpreter exit; one whose parent dies without that
+    exits on stdin EOF.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: dict[Optional[int], list[WorkerHandle]] = {}
+        #: the largest pool size seen
+        self.bound = 0
+
+    def admit(self, pool_size: int) -> None:
+        with self._lock:
+            self.bound = max(self.bound, pool_size)
+
+    def take(self, memory_limit_bytes: Optional[int]) -> Optional[WorkerHandle]:
+        """A parked worker with this cap, or None."""
+        with self._lock:
+            idle = self._idle.get(memory_limit_bytes)
+            return idle.pop() if idle else None
+
+    def park(self, worker: WorkerHandle, memory_limit_bytes: Optional[int]) -> bool:
+        """Keep ``worker`` for a later pool; False when the stash is full."""
+        with self._lock:
+            if sum(map(len, self._idle.values())) >= self.bound:
+                return False
+            self._idle.setdefault(memory_limit_bytes, []).append(worker)
+            return True
+
+    def drain(self) -> None:
+        """Shut down and reap every parked worker."""
+        with self._lock:
+            workers = [worker for idle in self._idle.values() for worker in idle]
+            self._idle.clear()
+        for worker in workers:
+            worker.shutdown()
+        for worker in workers:
+            worker.reap()
+
+
+#: the isolation backend's stash (see :class:`LocalHandleFactory`)
+PARKED_WORKERS = WorkerStash()
+atexit.register(PARKED_WORKERS.drain)
+
+
 class LocalHandleFactory:
     """Handle factory for ``--isolate process``: a subprocess per handle.
 
@@ -271,10 +354,20 @@ class LocalHandleFactory:
     it, so the interpreters boot in parallel rather than one per slot's
     first lease.  A slot whose worker died gets a fresh one, and only that
     replacement is a respawn.
+
+    With a ``stash``, starting a worker takes a parked one first (a fresh
+    ``init`` frame, not a spawn, and not a respawn either), and close parks
+    each slot's worker that is :attr:`~WorkerHandle.parkable` unless the
+    pool is quarantined.  Without one, close reaps every worker.
     """
+
+    def __init__(self, stash: Optional[WorkerStash] = None):
+        self.stash = stash
 
     def attach(self, pool: "WorkerPool") -> None:
         self.pool = pool
+        if self.stash is not None:
+            self.stash.admit(len(pool.slot_locks))
         self._lock = threading.Lock()
         #: every worker started and not yet replaced, leased or not;
         #: :meth:`close` reaps them all
@@ -309,10 +402,24 @@ class LocalHandleFactory:
             return self._start()
 
     def _start(self) -> WorkerHandle:
-        """Start one worker; caller holds the factory lock."""
-        worker = WorkerHandle(self.pool.spec, self.pool.executable_blob)
+        """Start one worker, parked or new; caller holds the factory lock."""
+        worker = self._unpark()
+        if worker is None:
+            worker = WorkerHandle(self.pool.spec, self.pool.executable_blob)
         self.workers.append(worker)
         return worker
+
+    def _unpark(self) -> Optional[WorkerHandle]:
+        while self.stash is not None:
+            worker = self.stash.take(self.pool.spec.memory_limit_bytes)
+            if worker is None:
+                return None
+            try:
+                worker.send_init(self.pool.executable_blob)
+                return worker
+            except ExtractionError:  # died while parked; send_init reaped it
+                continue
+        return None
 
     def quarantined(self, reason: str, crashes: int, respawns: int):
         return WorkerQuarantined(reason, crashes, respawns)
@@ -320,8 +427,21 @@ class LocalHandleFactory:
     def health(self) -> dict:
         return {}
 
+    def release(self, worker: WorkerHandle) -> None:
+        """Park a slot's healthy worker, or ask it to exit."""
+        if (
+            self.stash is not None
+            and self.pool.quarantine_error is None
+            and worker.parkable
+            and self.stash.park(worker, self.pool.spec.memory_limit_bytes)
+        ):
+            with self._lock:
+                self.workers.remove(worker)
+        else:
+            worker.shutdown()
+
     def close(self) -> None:
-        """Reap every worker; the pool has asked its slots' workers to exit.
+        """Reap every unparked worker; the pool has released its slots'.
 
         A worker no slot ever took holds no state and is killed outright.
         """
@@ -359,6 +479,9 @@ class WorkerPool:
         self.quarantine_error: Optional[WorkerQuarantined] = None
         #: accumulated chaos-injection counts from workers that already died
         self.injected_base: dict[str, int] = {}
+        #: ``("kill" | "crash", ordinal)`` per abnormal exit: a worker that
+        #: dies or is killed never reports what it injected
+        self.hard_exits: list[tuple[str, int]] = []
         size = max(1, spec.pool_size)
         #: one handle per slot; None until the factory first makes it ready
         self._handles: list = [None] * size
@@ -426,6 +549,10 @@ class WorkerPool:
     def injected_totals(self) -> dict[str, int]:
         """Chaos-injection counts across all worker generations."""
         totals = dict(self.injected_base)
+        if self.closed:
+            # close absorbed every slot's counts, and a slot's worker may
+            # since count for the later pool that took it from the stash
+            return totals
         for handle in self._handles:
             if handle is not None:
                 for key, value in handle.last_injected.items():
@@ -441,7 +568,7 @@ class WorkerPool:
             if handle is not None:
                 with self.slot_locks[slot]:
                     self._absorb_injected(handle)
-                    handle.shutdown()
+                    self.factory.release(handle)
         # after every slot's worker was asked to exit, so a local close
         # waits for one worker's exit, not the sum of them
         self.factory.close()
@@ -494,6 +621,7 @@ class WorkerPool:
         except HardTimeout:
             with self._lock:
                 self.stats.kills += 1
+                self.hard_exits.append(("kill", ordinal))
                 self._count("worker_kills_total")
                 self._note_abnormal(handle)
             raise ExecutableTimeoutError(
@@ -503,6 +631,7 @@ class WorkerPool:
         except WorkerDied as death:
             with self._lock:
                 self.stats.crashes += 1
+                self.hard_exits.append(("crash", ordinal))
                 self._count("worker_crashes_total")
                 self._note_abnormal(handle)
             raise WorkerCrashedError(death.kind, str(death), ordinal=ordinal) from None

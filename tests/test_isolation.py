@@ -328,6 +328,216 @@ class TestConcurrentBoot:
         assert all(worker.proc.returncode is not None for worker in workers)
 
 
+class TestWarmWorkers:
+    """Healthy local workers outlive their pool and serve the next one."""
+
+    SQL = "select l_orderkey, l_quantity from lineitem where l_quantity > 30"
+
+    @staticmethod
+    def warm_pool(executable, stash, **spec_kwargs) -> WorkerPool:
+        spec_kwargs.setdefault("default_timeout", 10.0)
+        return WorkerPool(
+            executable,
+            WorkerSpec(**spec_kwargs),
+            factory=supervisor.LocalHandleFactory(stash=stash),
+        )
+
+    def test_second_extraction_starts_no_process(self, tpch_db, monkeypatch):
+        clean = UnmasqueExtractor(
+            tpch_db, SQLExecutable(self.SQL), ExtractionConfig(run_checker=False)
+        ).extract()
+        config = ExtractionConfig(isolate="process", jobs=2, run_checker=False)
+        UnmasqueExtractor(tpch_db, SQLExecutable(self.SQL), config).extract()
+
+        started = []
+        spawn = supervisor.WorkerHandle.__init__
+
+        def spy(self, *args, **kwargs):
+            started.append(self)
+            spawn(self, *args, **kwargs)
+
+        monkeypatch.setattr(supervisor.WorkerHandle, "__init__", spy)
+        extractor = UnmasqueExtractor(tpch_db, SQLExecutable(self.SQL), config)
+        warm = extractor.extract()
+        assert started == []
+        assert warm.sql == clean.sql
+        assert warm.stats.total_invocations == clean.stats.total_invocations
+        pool = extractor.session.backend.pool
+        assert pool.stats.restarts == pool.respawns == 0
+
+    def test_abnormal_workers_are_never_taken_again(self):
+        db = nation_db()
+        stash = supervisor.WorkerStash()
+        crashed = self.warm_pool(AbortOnce(), stash)
+        with pytest.raises(WorkerCrashedError):
+            crashed.invoke(db, None)
+        dead = crashed.factory.workers[0]
+        assert crashed.invoke(db, None)["ok"]  # a healthy replacement
+        healthy = crashed._handles[0]
+        crashed.close()
+        assert dead.proc.returncode is not None
+        assert stash.take(None) is healthy
+        assert stash.take(None) is None
+        healthy.kill()
+
+        stash = supervisor.WorkerStash()
+        killed = self.warm_pool(BusyLooper(seconds=60.0), stash, kill_grace=0.2)
+        with pytest.raises(ExecutableTimeoutError):
+            killed.invoke(db, 0.3)
+        killed.close()
+        assert killed._handles[0].proc.returncode is not None
+        assert stash.take(None) is None
+
+        stash = supervisor.WorkerStash()
+        quarantined = self.warm_pool(RowCounter(), stash)
+        assert quarantined.invoke(db, None)["ok"]
+        with pytest.raises(WorkerQuarantined):
+            quarantined.quarantine("refused")
+        quarantined.close()
+        assert quarantined._handles[0].proc.returncode is not None  # reaped
+        assert stash.take(None) is None
+
+    def test_memory_cap_keys_the_stash_and_size_bounds_it(self):
+        db = nation_db()
+        stash = supervisor.WorkerStash()
+        uncapped = self.warm_pool(RowCounter(), stash)
+        assert uncapped.invoke(db, None)["ok"]
+        parked = uncapped._handles[0]
+        uncapped.close()
+        capped = self.warm_pool(
+            RowCounter(), stash, memory_limit_bytes=512 * 1024 * 1024
+        )
+        assert capped.invoke(db, None)["ok"]
+        assert capped._handles[0] is not parked
+        capped.close()
+        # one-slot pools bound the stash at one worker: the capped one is reaped
+        assert capped._handles[0].proc.returncode is not None
+        assert stash.take(512 * 1024 * 1024) is None
+        assert stash.take(None) is parked
+        parked.kill()
+
+    def test_worker_that_died_while_parked_is_replaced(self):
+        db = nation_db()
+        stash = supervisor.WorkerStash()
+        first = self.warm_pool(RowCounter(), stash)
+        assert first.invoke(db, None)["ok"]
+        parked = first._handles[0]
+        first.close()
+        parked.proc.kill()
+        parked.proc.wait(timeout=10)
+        second = self.warm_pool(RowCounter(), stash)
+        assert second.invoke(db, None)["result"].rows == [(3,)]
+        assert second._handles[0] is not parked
+        assert second.respawns == 0
+        second.close()
+        stash.drain()
+
+    def test_reinit_clears_last_injected_and_keeps_shipped(self):
+        from repro.resilience.faults import FaultPlan, FaultyExecutable
+
+        plan = FaultPlan(name="slow", latency_rate=1.0, latency_seconds=0.0)
+        db = nation_db()
+        stash = supervisor.WorkerStash()
+        first = self.warm_pool(FaultyExecutable(EchoNation(), plan), stash)
+        for _ in range(2):
+            assert first.invoke(db, None)["ok"]
+        handle = first._handles[0]
+        assert handle.last_injected["latency"] == 2
+        shipped = dict(handle.shipped)
+        first.close()
+
+        second = self.warm_pool(FaultyExecutable(EchoNation(), plan), stash)
+        reply = second.invoke(db, None)
+        assert second._handles[0] is handle
+        assert handle.last_injected["latency"] == 1  # a fresh executable
+        assert reply["stats"]["invocation_count"] == 1
+        assert handle.shipped == shipped  # nothing re-shipped
+        handle.send_init(second.executable_blob)
+        assert handle.last_injected == {}
+        second.close()
+        stash.drain()
+
+    def test_concurrent_pools_never_share_a_worker(self):
+        import sys
+        import threading
+
+        stash = supervisor.WorkerStash()
+        db = nation_db()
+        lock = threading.Lock()
+        in_use: set = set()
+        errors = []
+
+        def extraction_loop():
+            try:
+                for _ in range(3):
+                    pool = self.warm_pool(RowCounter(), stash)
+                    assert pool.invoke(db, None)["result"].rows == [(3,)]
+                    handle = pool._handles[0]
+                    with lock:
+                        assert handle not in in_use
+                        in_use.add(handle)
+                    assert pool.invoke(db, None)["result"].rows == [(3,)]
+                    assert pool._handles[0] is handle
+                    with lock:
+                        in_use.discard(handle)
+                    pool.close()
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=extraction_loop) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        parked = stash.take(None)
+        assert parked is not None and parked.alive
+        assert stash.take(None) is None  # bounded by the one-slot pools
+        parked.kill()
+
+    def test_exiting_process_leaves_no_live_worker(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        roots = [
+            os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))),
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        ]
+        script = (
+            "from repro.apps.executable import SQLExecutable\n"
+            "from repro.core.config import ExtractionConfig\n"
+            "from repro.core.pipeline import UnmasqueExtractor\n"
+            "from repro.datagen import tpch\n"
+            "from repro.isolation.supervisor import PARKED_WORKERS\n"
+            "db = tpch.build_database(scale=0.0005, seed=11)\n"
+            "config = ExtractionConfig(isolate='process', jobs=2, run_checker=False)\n"
+            f"app = SQLExecutable({self.SQL!r})\n"
+            "UnmasqueExtractor(db, app, config).extract()\n"
+            "print([w.pid for idle in PARKED_WORKERS._idle.values() for w in idle])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(roots)),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        pids = eval(done.stdout.decode().strip().splitlines()[-1])
+        assert pids  # the extraction parked its workers
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
 class TestWorkerImportClosure:
     """A worker imports only what it unpickles — never the pipeline stack."""
 
@@ -476,22 +686,25 @@ class TestHardFaultChaos:
         extractor = UnmasqueExtractor(db, app, config)
         outcome = extractor.extract()
         assert outcome.sql == clean_sql
-        return extractor.session.backend.pool.stats
+        return extractor.session.backend.pool.stats, app.injected
 
     def test_crash_profile_converges_under_isolation(self, tpch_db):
         clean = UnmasqueExtractor(
             tpch_db, SQLExecutable(self.SQL), ExtractionConfig(run_checker=False)
         ).extract()
-        stats = self._chaos(tpch_db, "crash", clean.sql)
+        stats, injected = self._chaos(tpch_db, "crash", clean.sql)
         assert stats.crashes > 0
         assert stats.restarts == stats.crashes
+        # an aborted worker never replies: the supervisor counts its fault
+        assert injected["crash"] == stats.crashes
 
     def test_hang_profile_converges_under_isolation(self, tpch_db):
         clean = UnmasqueExtractor(
             tpch_db, SQLExecutable(self.SQL), ExtractionConfig(run_checker=False)
         ).extract()
-        stats = self._chaos(tpch_db, "hang", clean.sql)
+        stats, injected = self._chaos(tpch_db, "hang", clean.sql)
         assert stats.kills > 0
+        assert injected["hang"] == stats.kills
 
     def test_hard_draws_are_per_ordinal_not_streamed(self):
         from repro.resilience.faults import FaultPlan
