@@ -34,12 +34,15 @@ Message shapes (plain dicts, ``cmd`` / reply keyed):
 
 ``init``     ``{cmd, executable: bytes}`` — the pickled executable, nested as
              bytes so an unpicklable/broken spec surfaces as a structured
-             ``init`` error instead of a dead worker.
+             ``init`` error instead of a dead worker.  Accepted at any time;
+             the worker starts an empty replica with it.
 ``run``      ``{cmd, ordinal, timeout, trace_access, deltas, dropped}`` —
              ``deltas`` maps table name to ``{"schema": TableSchema,
              "rows": [tuple, ...]}`` for every table whose contents changed
              since the last ship; ``dropped`` lists names that no longer
              exist (renames are a drop plus a delta).
+``park``     ``{cmd}`` — no reply; drop the executable and the replica and
+             idle until the next ``init`` (a worker kept between pools).
 ``shutdown`` ``{cmd}`` — polite exit; the supervisor escalates to SIGKILL.
 
 Replies: ``{ok: True, result: Result, stats: {...}}`` or ``{ok: False,

@@ -47,10 +47,10 @@ full silo on its first run.
 Local workers can outlive their pool.  A pool built with the process-wide
 :data:`PARKED_WORKERS` stash (the isolation backend's pools are) parks each
 healthy worker at close instead of shutting it down, and the next such pool
-re-initialises it with its own executable instead of spawning.  The handle
-keeps its ``shipped`` ledger — the worker's resident replica is unchanged —
-so a silo that shares row lists with the previous one (``Database.clone``
-is copy-on-write) ships only the tables that differ.
+re-initialises it with its own executable instead of spawning.  A parked
+worker drops its replica and executable, and re-init clears the handle's
+``shipped`` ledger, so the next pool ships its silo in full and nothing of
+the previous extraction's data stays referenced on either side.
 """
 
 from __future__ import annotations
@@ -160,34 +160,55 @@ class WorkerHandle:
             env=env,
         )
         self.transport = PipeTransport(self.proc.stdin, self.proc.stdout.fileno())
-        #: table → (schema, shipped row-list reference); holding the list
-        #: object both detects changes (identity) and pins its id
-        self.shipped: dict[str, tuple] = {}
         #: True from sending a run request until its reply arrives; a worker
         #: left in flight may still write that reply, so it is never parked
         self.in_flight = False
-        self.send_init(executable_blob)
+        self.reinit(executable_blob)
+        self._send_init()
 
-    def send_init(self, executable_blob: bytes) -> None:
-        """Send an ``init`` frame; :meth:`handshake` waits for its reply.
+    def reinit(self, executable_blob: bytes) -> None:
+        """Queue an ``init`` frame; :meth:`handshake` sends it and waits.
 
-        The worker accepts ``init`` at any time, so a parked worker is
-        re-initialised the same way with the next pool's executable.  That
-        resets the chaos-injection counts (the worker unpickles a fresh
-        executable) and keeps ``shipped``, which still describes the
-        worker's resident replica.
+        This is how a parked worker takes the next pool's executable (the
+        worker accepts ``init`` at any time).  Everything an extraction left
+        on the handle is reset: the chaos-injection counts (the worker
+        unpickles a fresh executable) and the ``shipped`` ledger (the worker
+        starts an empty replica on ``init``).
         """
+        #: table → (schema, shipped row-list reference); holding the list
+        #: object both detects changes (identity) and pins its id
+        self.shipped: dict[str, tuple] = {}
         self.last_injected: dict[str, int] = {}
         #: the worker's pid as it reported it; None while a handshake is
         #: pending
         self.pid: Optional[int] = None
+        self._pending_init: Optional[bytes] = executable_blob
+
+    @property
+    def reinit_pending(self) -> bool:
+        """A queued ``init`` not yet sent: a parked worker being re-used."""
+        return self._pending_init is not None
+
+    def _send_init(self) -> None:
+        """Send the queued ``init`` frame, SIGKILLing a worker that stalls it.
+
+        A worker that stopped reading would block the write for good once
+        the executable outgrows the pipe buffer; killing it turns that into
+        a broken pipe within :data:`_SPAWN_TIMEOUT`.
+        """
+        blob, self._pending_init = self._pending_init, None
+        watchdog = threading.Timer(_SPAWN_TIMEOUT, self.proc.kill)
+        watchdog.daemon = True
+        watchdog.start()
         try:
-            self.transport.send({"cmd": "init", "executable": executable_blob})
+            self.transport.send({"cmd": "init", "executable": blob})
         except OSError as error:
             self.kill()
             raise ExtractionError(
                 f"isolated worker failed to initialise: {error}"
             ) from None
+        finally:
+            watchdog.cancel()
 
     def handshake(self) -> None:
         """Wait for the worker's ``init`` reply; a no-op once it succeeded.
@@ -197,6 +218,8 @@ class WorkerHandle:
         """
         if self.pid is not None:
             return
+        if self._pending_init is not None:
+            self._send_init()
         try:
             reply = self.transport.recv(_SPAWN_TIMEOUT)
         except TransportTimeout:
@@ -221,8 +244,22 @@ class WorkerHandle:
 
     @property
     def parkable(self) -> bool:
-        """Alive, initialised, and with no request awaiting its reply."""
-        return self.pid is not None and not self.in_flight and self.alive
+        """Alive, initialised, idle, and running nothing but its main thread.
+
+        A thread the executable left behind would keep running while the
+        worker is parked and into the next extraction, so such a worker is
+        reaped instead.
+        """
+        return (
+            self.pid is not None
+            and not self.in_flight
+            and self.alive
+            and _thread_count(self.proc.pid) == 1
+        )
+
+    def park(self) -> None:
+        """Tell the worker to drop its executable and replica while idle."""
+        write_frame(self.proc.stdin, {"cmd": "park"})
 
     def run(self, message: dict, deadline_seconds: float) -> dict:
         """Send one request and read its reply under a hard deadline.
@@ -294,15 +331,28 @@ class WorkerHandle:
         return f"exit-{code}"
 
 
+def _thread_count(pid: int) -> Optional[int]:
+    """Threads of process ``pid`` per ``/proc``; None when unreadable."""
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 class WorkerStash:
     """Idle local workers kept warm between pools, keyed by memory cap.
 
     The cap is the only worker property fixed at spawn (``RLIMIT_AS``);
     everything else arrives with ``init`` or per request.  The stash holds
     at most as many workers as the largest pool that uses it, so parked
-    workers never outnumber one pool's slots.  Parked workers are shut down
-    and reaped at interpreter exit; one whose parent dies without that
-    exits on stdin EOF.
+    workers never outnumber one pool's slots.  A parked worker holds no
+    executable and no replica, only its interpreter.  Parked workers are
+    shut down and reaped at interpreter exit; one whose parent dies without
+    that exits on stdin EOF.
     """
 
     def __init__(self):
@@ -358,7 +408,10 @@ class LocalHandleFactory:
     With a ``stash``, starting a worker takes a parked one first (a fresh
     ``init`` frame, not a spawn, and not a respawn either), and close parks
     each slot's worker that is :attr:`~WorkerHandle.parkable` unless the
-    pool is quarantined.  Without one, close reaps every worker.
+    pool is quarantined.  The re-init is sent by the leasing slot's own
+    handshake, outside the factory lock; a parked worker that fails it is
+    killed and replaced by a spawn, again without charging a respawn.
+    Without a stash, close reaps every worker.
     """
 
     def __init__(self, stash: Optional[WorkerStash] = None):
@@ -386,7 +439,16 @@ class LocalHandleFactory:
                 fresh = self._start()
         else:
             fresh = self._first_worker()
-        fresh.handshake()
+        reused = fresh.reinit_pending
+        try:
+            fresh.handshake()
+        except ExtractionError:
+            if not reused:
+                raise
+            with self._lock:  # handshake reaped it; nothing to charge
+                self.workers.remove(fresh)
+                fresh = self._spawn()
+            fresh.handshake()
         return fresh
 
     def _first_worker(self) -> WorkerHandle:
@@ -403,23 +465,20 @@ class LocalHandleFactory:
 
     def _start(self) -> WorkerHandle:
         """Start one worker, parked or new; caller holds the factory lock."""
-        worker = self._unpark()
+        worker = None
+        if self.stash is not None:
+            worker = self.stash.take(self.pool.spec.memory_limit_bytes)
         if worker is None:
-            worker = WorkerHandle(self.pool.spec, self.pool.executable_blob)
+            return self._spawn()
+        worker.reinit(self.pool.executable_blob)
         self.workers.append(worker)
         return worker
 
-    def _unpark(self) -> Optional[WorkerHandle]:
-        while self.stash is not None:
-            worker = self.stash.take(self.pool.spec.memory_limit_bytes)
-            if worker is None:
-                return None
-            try:
-                worker.send_init(self.pool.executable_blob)
-                return worker
-            except ExtractionError:  # died while parked; send_init reaped it
-                continue
-        return None
+    def _spawn(self) -> WorkerHandle:
+        """Spawn one new worker; caller holds the factory lock."""
+        worker = WorkerHandle(self.pool.spec, self.pool.executable_blob)
+        self.workers.append(worker)
+        return worker
 
     def quarantined(self, reason: str, crashes: int, respawns: int):
         return WorkerQuarantined(reason, crashes, respawns)
@@ -433,12 +492,16 @@ class LocalHandleFactory:
             self.stash is not None
             and self.pool.quarantine_error is None
             and worker.parkable
-            and self.stash.park(worker, self.pool.spec.memory_limit_bytes)
         ):
-            with self._lock:
-                self.workers.remove(worker)
-        else:
-            worker.shutdown()
+            try:
+                worker.park()
+            except OSError:  # exited since the check; close reaps it
+                return
+            if self.stash.park(worker, self.pool.spec.memory_limit_bytes):
+                with self._lock:
+                    self.workers.remove(worker)
+                return
+        worker.shutdown()
 
     def close(self) -> None:
         """Reap every unparked worker; the pool has released its slots'.

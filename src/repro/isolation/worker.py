@@ -176,6 +176,7 @@ def _serve(inp, out) -> int:
         if cmd == "init":
             import pickle
 
+            db = Database()  # the supervisor ships the next silo in full
             try:
                 executable = pickle.loads(message["executable"])
                 write_frame(out, {"ok": True, "pid": os.getpid()})
@@ -189,6 +190,10 @@ def _serve(inp, out) -> int:
                 )
                 continue
             write_frame(out, _run_once(db, executable, message))
+        elif cmd == "park":
+            # idle until the next init: keep no extraction's state meanwhile
+            db = Database()
+            executable = None
         elif cmd == "shutdown":
             write_frame(out, {"ok": True})
             return 0

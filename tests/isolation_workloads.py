@@ -10,6 +10,7 @@ classifiable way.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 from repro.apps.executable import Executable
@@ -94,6 +95,26 @@ class RowCounter(Executable):
 
     def _execute(self, db, timeout):
         return Result(["count"], [(db.row_count("nation"),)])
+
+
+class ThreadLeaver(Executable):
+    """Answers like :class:`RowCounter` but leaves a thread running behind."""
+
+    name = "thread-leaver"
+
+    def _execute(self, db, timeout):
+        threading.Thread(target=time.sleep, args=(3600,), daemon=True).start()
+        return Result(["count"], [(db.row_count("nation"),)])
+
+
+class PaddedCounter(RowCounter):
+    """A :class:`RowCounter` whose pickle outgrows a pipe buffer."""
+
+    name = "padded-counter"
+
+    def __init__(self, padding_bytes: int = 1 << 20):
+        super().__init__()
+        self.padding = b"x" * padding_bytes
 
 
 def _refuse_rebuild(name: str):

@@ -40,8 +40,10 @@ from tests.isolation_workloads import (
     BusyLooper,
     EchoNation,
     MemoryHog,
+    PaddedCounter,
     RowCounter,
     TablePrinter,
+    ThreadLeaver,
     UnpickleFails,
 )
 
@@ -432,7 +434,7 @@ class TestWarmWorkers:
         second.close()
         stash.drain()
 
-    def test_reinit_clears_last_injected_and_keeps_shipped(self):
+    def test_reinit_clears_last_injected_and_shipped(self, monkeypatch):
         from repro.resilience.faults import FaultPlan, FaultyExecutable
 
         plan = FaultPlan(name="slow", latency_rate=1.0, latency_seconds=0.0)
@@ -443,17 +445,73 @@ class TestWarmWorkers:
             assert first.invoke(db, None)["ok"]
         handle = first._handles[0]
         assert handle.last_injected["latency"] == 2
-        shipped = dict(handle.shipped)
+        assert handle.shipped
         first.close()
 
+        shipped = []
+        deltas = supervisor._deltas
+
+        def spy(ledger, database):
+            result = deltas(ledger, database)
+            shipped.append(sorted(result))
+            return result
+
+        monkeypatch.setattr(supervisor, "_deltas", spy)
         second = self.warm_pool(FaultyExecutable(EchoNation(), plan), stash)
         reply = second.invoke(db, None)
         assert second._handles[0] is handle
         assert handle.last_injected["latency"] == 1  # a fresh executable
         assert reply["stats"]["invocation_count"] == 1
-        assert handle.shipped == shipped  # nothing re-shipped
-        handle.send_init(second.executable_blob)
-        assert handle.last_injected == {}
+        # the worker started an empty replica, so the same silo ships in full
+        assert shipped == [["nation"]]
+        assert len(reply["result"].rows) == 3
+        handle.reinit(second.executable_blob)
+        assert handle.last_injected == {} and handle.shipped == {}
+        second.close()
+        stash.drain()
+
+    def test_worker_left_running_a_thread_is_reaped(self):
+        db = nation_db()
+        stash = supervisor.WorkerStash()
+        pool = self.warm_pool(ThreadLeaver(), stash)
+        assert pool.invoke(db, None)["result"].rows == [(3,)]
+        worker = pool._handles[0]
+        assert supervisor._thread_count(worker.proc.pid) == 2
+        pool.close()
+        assert worker.proc.returncode is not None
+        assert stash.take(None) is None
+
+    def test_parked_worker_that_stalls_reinit_is_replaced_by_a_spawn(
+        self, monkeypatch
+    ):
+        import signal
+        import threading
+
+        db = nation_db()
+        stash = supervisor.WorkerStash()
+        first = self.warm_pool(RowCounter(), stash)
+        assert first.invoke(db, None)["ok"]
+        parked = first._handles[0]
+        first.close()
+        # a stopped worker reads nothing, so the 1 MiB init frame would
+        # block its write forever without the watchdog
+        parked.proc.send_signal(signal.SIGSTOP)
+        monkeypatch.setattr(supervisor, "_SPAWN_TIMEOUT", 4.0)
+        second = self.warm_pool(PaddedCounter(), stash)
+        assert len(second.executable_blob) > 1 << 20
+        replies = []
+        invoker = threading.Thread(
+            target=lambda: replies.append(second.invoke(db, None)), daemon=True
+        )
+        invoker.start()
+        invoker.join(timeout=60)
+        if invoker.is_alive():
+            parked.proc.kill()  # unblock the write before failing
+        assert not invoker.is_alive()
+        assert replies[0]["result"].rows == [(3,)]
+        assert second._handles[0] is not parked
+        assert parked.proc.returncode == -signal.SIGKILL
+        assert second.respawns == second.stats.restarts == 0
         second.close()
         stash.drain()
 
