@@ -26,12 +26,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 from repro.apps.obfuscation import deobfuscate, obfuscate
 from repro.engine.database import Database
 from repro.engine.result import Result
-from repro.errors import ExecutableTimeoutError
 from repro.obs.trace import NULL_TRACER
 
 
@@ -179,12 +179,6 @@ class Executable:
         #: guards the counters above: scheduler worker threads run the
         #: executable concurrently.
         self._counter_lock = threading.Lock()
-        #: the ``invocation`` span of the most recent traced :meth:`run`
-        #: (``None`` untraced).  Callers that need to tag the invocation
-        #: after it completed — :func:`run_with_deadline` discarding an
-        #: overrun — use this instead of scanning the tracer's span list,
-        #: which can land on a *different* invocation when runs nest.
-        self.last_span = None
 
     def run(self, db: Database, timeout: Optional[float] = None) -> Result:
         """Execute the hidden logic against ``db`` and return its result.
@@ -193,23 +187,17 @@ class Executable:
         cooperative deadline yet, this arms it — so a bare
         ``executable.run(db, timeout=...)`` call honours the timeout for
         *every* executable flavour, not just callers that pre-set
-        ``db.deadline`` themselves.  The invocation is counted even when the
-        application raises, keeping ``invocation_count`` consistent with the
-        ``invocations_total`` metric.
+        ``db.deadline`` themselves.
 
-        When ``db`` carries an enabled tracer the invocation opens an
-        ``invocation`` span (engine queries issued by the hidden logic nest
-        beneath it); with the default null tracer this is the bare fast path.
+        The run is one logical invocation, accounted by :meth:`_invocation`
+        (counted even when the application raises); engine queries issued by
+        the hidden logic nest beneath its ``invocation`` span.
 
         When an :class:`InvocationMemo` is attached (and the database is not
         in access-trace mode, whose whole point is observing the execution),
         the physical execution is skipped on a state match — everything else
         about the invocation (counting, span, metrics) happens as usual.
         """
-        with self._counter_lock:
-            self.invocation_count += 1
-        self.last_span = None
-        tracer = getattr(db, "tracer", NULL_TRACER)
         owns_deadline = (
             timeout is not None and getattr(db, "deadline", None) is None
         )
@@ -217,34 +205,68 @@ class Executable:
         def execute():
             return self._execute(db, timeout)
 
-        started = time.perf_counter()
         if owns_deadline:
-            db.deadline = started + timeout
+            db.deadline = time.perf_counter() + timeout
         try:
-            if not tracer.enabled:
-                try:
-                    return self.run_memoized(db, timeout, execute)
-                finally:
-                    with self._counter_lock:
-                        self.total_runtime += time.perf_counter() - started
-            with tracer.span(self.name, kind="invocation") as span:
-                self.last_span = span
-                span.set_tags(executable=self.name, db_rows=db.total_rows())
-                if tracer.metrics is not None:
-                    tracer.metrics.counter("invocations_total").inc()
-                try:
-                    return self.run_memoized(db, timeout, execute, span)
-                finally:
-                    elapsed = time.perf_counter() - started
-                    with self._counter_lock:
-                        self.total_runtime += elapsed
-                    if tracer.metrics is not None:
-                        tracer.metrics.histogram(
-                            "invocation_latency_seconds"
-                        ).observe(elapsed)
+            with self._invocation(db) as span:
+                return self.run_memoized(db, timeout, execute, span)
         finally:
             if owns_deadline:
                 db.deadline = None
+
+    @contextmanager
+    def _invocation(self, db: Database, kind: str = "invocation"):
+        """One live logical invocation against ``db``: yields its span.
+
+        The span (``kind`` is ``worker`` for an isolated invocation) is
+        opened on ``db``'s tracer and tagged with the executable and the
+        state size; a failure tags it with the error.  The counters are
+        charged by :meth:`_tally` when the block exits, whether or not it
+        raised.  :meth:`run` and the isolation backend's ``invoke`` come
+        through here; a consumed speculative probe is charged after the fact
+        by :meth:`charge_logical`.
+        """
+        tracer = getattr(db, "tracer", NULL_TRACER)
+        started = time.perf_counter()
+        try:
+            with tracer.span(self.name, kind=kind) as span:
+                if tracer.enabled:
+                    span.set_tags(executable=self.name, db_rows=db.total_rows())
+                yield span
+        finally:
+            self._tally(tracer.metrics, time.perf_counter() - started)
+
+    def charge_logical(
+        self,
+        tracer,
+        started: float,
+        ended: float,
+        tags: Optional[dict] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Account one logical invocation whose physical execution happened
+        elsewhere (a consumed speculative probe, run from ``started`` to
+        ``ended``): the same counters as :meth:`_invocation` and a recorded
+        ``invocation`` span carrying ``tags``, tagged with ``error`` when
+        the probe failed.  Keeps every invocation counter equal to the
+        serial schedule's."""
+        if tracer.enabled:
+            tags = {"executable": self.name, **(tags or {})}
+            if error is not None:
+                tags["error"] = type(error).__name__
+            tracer.record(
+                self.name, kind="invocation", start=started, end=ended, tags=tags
+            )
+        self._tally(tracer.metrics, ended - started)
+
+    def _tally(self, metrics, elapsed: float) -> None:
+        """The counters of one logical invocation; nothing else moves them."""
+        with self._counter_lock:
+            self.invocation_count += 1
+            self.total_runtime += elapsed
+        if metrics is not None:
+            metrics.counter("invocations_total").inc()
+            metrics.histogram("invocation_latency_seconds").observe(elapsed)
 
     def run_memoized(self, db, timeout, execute, span=None):
         """``execute()`` through the attached memo (see
@@ -258,45 +280,24 @@ class Executable:
         db.last_invocation = {"cached": False, "fingerprint": ""}
         return execute()
 
-    def probe(self, db: Database, timeout: Optional[float] = None) -> Result:
+    def probe(self, db: Database) -> Result:
         """Execute with **no accounting whatsoever** — no invocation count,
         span, metric, or memo traffic.
 
         This is the probe scheduler's speculation primitive: speculative
         executions may be discarded, so they must be invisible to every
-        logical counter; the scheduler charges consumed probes itself.  The
-        cooperative deadline is still armed so timeouts behave identically
-        to a counted run.
+        logical counter; the scheduler charges consumed probes through
+        :meth:`charge_logical`.
         """
-        owns_deadline = (
-            timeout is not None and getattr(db, "deadline", None) is None
-        )
-        if owns_deadline:
-            db.deadline = time.perf_counter() + timeout
-        try:
-            return self._execute(db, timeout)
-        finally:
-            if owns_deadline:
-                db.deadline = None
-
-    def charge_logical(self, elapsed: float = 0.0) -> None:
-        """Account one *logical* invocation whose physical execution happened
-        elsewhere (a consumed speculative probe).  Keeps ``invocation_count``
-        equal to the serial schedule's count."""
-        with self._counter_lock:
-            self.invocation_count += 1
-            self.total_runtime += elapsed
+        return self._execute(db, None)
 
     def _execute(self, db: Database, timeout: Optional[float]) -> Result:
         raise NotImplementedError
 
     def __getstate__(self):
-        # Spans belong to the process that traced them; an executable shipped
-        # to an isolation worker must not drag its tracer state along.  Locks
-        # are unpicklable and the memo is supervisor-side state — both are
-        # rebuilt/cleared on the worker.
+        # Locks are unpicklable and the memo is supervisor-side state — both
+        # are rebuilt/cleared on an isolation worker.
         state = self.__dict__.copy()
-        state["last_span"] = None
         state["memo"] = None
         state.pop("_counter_lock", None)
         return state
@@ -356,46 +357,3 @@ class CallableExecutable(Executable):
     def _execute(self, db: Database, timeout: Optional[float]) -> Result:
         return self._fn(db)
 
-
-def run_with_deadline(executable: Executable, db: Database, timeout: float) -> Result:
-    """Run and enforce a wall-clock deadline after the fact.
-
-    In-process execution cannot be preempted portably; instead callers treat
-    an over-deadline completion as a timeout, which is indistinguishable from
-    the paper's "terminate after a short timeout period" for our purposes.
-
-    A run cut short this way counts toward ``invocation_timeouts_total`` and
-    its invocation span is tagged ``timed_out`` — the completion already
-    happened, so without the tag the trace would show a successful run that
-    the caller in fact discarded.
-
-    The timeout path rolls the database back to its pre-run state: a run
-    discarded for overrunning (or cut short by the cooperative deadline
-    mid-statement) must not leave partially-applied DML behind, so a retry
-    starts from clean state.
-    """
-    tracer = getattr(db, "tracer", NULL_TRACER)
-    token = db.snapshot() if hasattr(db, "snapshot") else None
-    started = time.perf_counter()
-    try:
-        result = executable.run(db, timeout=timeout)
-    except ExecutableTimeoutError:
-        if token is not None:
-            db.restore(token)
-        raise
-    if time.perf_counter() - started > timeout:
-        if token is not None:
-            db.restore(token)
-        if tracer.metrics is not None:
-            tracer.metrics.counter("invocation_timeouts_total").inc()
-        # The invocation span has already closed; the executable exposes it
-        # directly, so exactly *this* run is tagged (scanning the tracer's
-        # span list can land on a different invocation when runs nest or
-        # interleave).
-        span = getattr(executable, "last_span", None)
-        if span is not None:
-            span.set_tags(timed_out=True, error="ExecutableTimeoutError")
-        raise ExecutableTimeoutError(
-            f"application {executable.name!r} exceeded {timeout:.3f}s deadline"
-        )
-    return result

@@ -136,9 +136,15 @@ def run_extraction_bench(
                 )
                 provenance = ProvenanceRecorder(sink=ledger.sink(run_id))
             started = time.perf_counter()
-            outcome = UnmasqueExtractor(
-                db, app, _bench_config(jobs), tracer=tracer, provenance=provenance
-            ).extract()
+            try:
+                outcome = UnmasqueExtractor(
+                    db, app, _bench_config(jobs), tracer=tracer, provenance=provenance
+                ).extract()
+            except BaseException as error:
+                if ledger is not None:
+                    ledger.fail_extraction(run_id, provenance, error)
+                    ledger.close()
+                raise
             seconds = time.perf_counter() - started
             caches = outcome.caches or {}
             modules = {

@@ -16,13 +16,14 @@ contract is *observability parity* with the in-process fast path: a probe
 that runs in a worker must be indistinguishable to every layer above the
 invocation boundary —
 
-* the local executable's ``invocation_count`` / ``total_runtime`` advance
-  exactly as they would in-process (the pipeline's per-module accounting and
-  the chaos CLI read them);
-* ``invocations_total`` and ``invocation_latency_seconds`` tick on the
-  database tracer's metrics registry, and each invocation opens a ``worker``
-  span (instead of the in-process ``invocation`` span) carrying the
-  worker's duration, peak RSS, and crash classification;
+* the invocation is accounted by the executable's own ledger,
+  :meth:`~repro.apps.executable.Executable._invocation`, the same one an
+  in-process run goes through: ``invocation_count`` / ``total_runtime``,
+  ``invocations_total`` and ``invocation_latency_seconds`` move exactly as
+  they would in-process, and the invocation opens a ``worker`` span
+  (instead of the in-process ``invocation`` span).  The backend adds only
+  the span's ``isolate`` / ``ordinal`` tags and the worker's duration, peak
+  RSS, and crash classification;
 * engine rows scanned inside the worker are charged to the database's
   budget after the fact, so budget enforcement is supervisor-side and
   counted once;
@@ -44,7 +45,6 @@ so the retry classification and the pipeline's semantic reading of
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.errors import ExecutableTimeoutError, WorkerCrashedError
@@ -131,32 +131,9 @@ class ProcessIsolationBackend:
         entirely — the dominant cost under isolation — while the invocation
         is still counted, spanned, and metered exactly like a physical one.
         """
-        executable = self.executable
-        tracer = getattr(db, "tracer", NULL_TRACER)
-        metrics = tracer.metrics
-        with executable._counter_lock:
-            executable.invocation_count += 1
-        started = time.perf_counter()
-        with tracer.span(executable.name, kind="worker") as span:
-            if tracer.enabled:
-                span.set_tags(
-                    executable=executable.name,
-                    isolate=self.isolate_label,
-                    ordinal=self.pool.ordinal + 1,
-                    db_rows=db.total_rows(),
-                )
-            if metrics is not None:
-                metrics.counter("invocations_total").inc()
-            try:
-                return self._accounted(db, timeout, span)
-            finally:
-                elapsed = time.perf_counter() - started
-                with executable._counter_lock:
-                    executable.total_runtime += elapsed
-                if metrics is not None:
-                    metrics.histogram("invocation_latency_seconds").observe(
-                        elapsed
-                    )
+        with self.executable._invocation(db, kind="worker") as span:
+            span.set_tags(isolate=self.isolate_label, ordinal=self.pool.ordinal + 1)
+            return self._accounted(db, timeout, span)
 
     def invoke_reply(self, db, timeout: Optional[float] = None) -> dict:
         """Transport only: the raw worker reply dict for ``db``'s state.

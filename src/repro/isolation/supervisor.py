@@ -352,16 +352,21 @@ class WorkerStash:
     workers never outnumber one pool's slots.  A parked worker holds no
     executable and no replica, only its interpreter.  Parked workers are
     shut down and reaped at interpreter exit; one whose parent dies without
-    that exits on stdin EOF.
+    that exits on stdin EOF.  A stash built with ``parks=False`` admits
+    no pool, so it never holds a worker and its pools reap every worker at
+    close.
     """
 
-    def __init__(self):
+    def __init__(self, parks: bool = True):
+        self.parks = parks
         self._lock = threading.Lock()
         self._idle: dict[Optional[int], list[WorkerHandle]] = {}
         #: the largest pool size seen
         self.bound = 0
 
     def admit(self, pool_size: int) -> None:
+        if not self.parks:
+            return
         with self._lock:
             self.bound = max(self.bound, pool_size)
 
@@ -405,22 +410,21 @@ class LocalHandleFactory:
     first lease.  A slot whose worker died gets a fresh one, and only that
     replacement is a respawn.
 
-    With a ``stash``, starting a worker takes a parked one first (a fresh
+    Starting a worker takes a parked one from the ``stash`` first (a fresh
     ``init`` frame, not a spawn, and not a respawn either), and close parks
     each slot's worker that is :attr:`~WorkerHandle.parkable` unless the
-    pool is quarantined.  The re-init is sent by the leasing slot's own
-    handshake, outside the factory lock; a parked worker that fails it is
-    killed and replaced by a spawn, again without charging a respawn.
-    Without a stash, close reaps every worker.
+    pool is quarantined or the stash is full.  The re-init is sent by the
+    leasing slot's own handshake, outside the factory lock; a parked worker
+    that fails it is killed and replaced by a spawn, again without charging
+    a respawn.  With a stash that never parks, close reaps every worker.
     """
 
-    def __init__(self, stash: Optional[WorkerStash] = None):
+    def __init__(self, stash: WorkerStash):
         self.stash = stash
 
     def attach(self, pool: "WorkerPool") -> None:
         self.pool = pool
-        if self.stash is not None:
-            self.stash.admit(len(pool.slot_locks))
+        self.stash.admit(len(pool.slot_locks))
         self._lock = threading.Lock()
         #: every worker started and not yet replaced, leased or not;
         #: :meth:`close` reaps them all
@@ -465,9 +469,7 @@ class LocalHandleFactory:
 
     def _start(self) -> WorkerHandle:
         """Start one worker, parked or new; caller holds the factory lock."""
-        worker = None
-        if self.stash is not None:
-            worker = self.stash.take(self.pool.spec.memory_limit_bytes)
+        worker = self.stash.take(self.pool.spec.memory_limit_bytes)
         if worker is None:
             return self._spawn()
         worker.reinit(self.pool.executable_blob)
@@ -488,11 +490,7 @@ class LocalHandleFactory:
 
     def release(self, worker: WorkerHandle) -> None:
         """Park a slot's healthy worker, or ask it to exit."""
-        if (
-            self.stash is not None
-            and self.pool.quarantine_error is None
-            and worker.parkable
-        ):
+        if self.pool.quarantine_error is None and worker.parkable:
             try:
                 worker.park()
             except OSError:  # exited since the check; close reaps it
@@ -561,7 +559,11 @@ class WorkerPool:
         #: injected totals, metrics) against concurrent scheduler threads
         self._lock = threading.Lock()
         self.closed = False
-        self.factory = factory if factory is not None else LocalHandleFactory()
+        self.factory = (
+            factory
+            if factory is not None
+            else LocalHandleFactory(WorkerStash(parks=False))
+        )
         self.factory.attach(self)
 
     # -- public API ---------------------------------------------------------

@@ -251,8 +251,6 @@ class FaultyExecutable(Executable):
             self.injected["latency"] += 1
             time.sleep(self.plan.latency_seconds)
         result = self.inner.run(db, timeout=timeout)
-        # surface the inner invocation span for after-the-fact tagging
-        self.last_span = getattr(self.inner, "last_span", None)
         if kind == "empty":
             self.injected["empty"] += 1
             return Result(result.columns, [])

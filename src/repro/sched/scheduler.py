@@ -12,7 +12,12 @@ more — under a hard **determinism contract** (DESIGN.md §5.14):
 * the *logical* invocation count (``stats.invocations``, budget charges,
   ``invocations_total``) equals the sequential schedule's count;
 * every logical invocation is charged exactly once, on the main thread or
-  under the scheduler lock — never both.
+  under the scheduler lock — never both.  The executable's counters, the
+  ``invocations_total`` / ``invocation_latency_seconds`` metrics and the
+  ``invocation`` span are charged by the executable itself: live by
+  :meth:`~repro.apps.executable.Executable.run` inside a task, and after
+  the fact by :meth:`~repro.apps.executable.Executable.charge_logical` for
+  a consumed chain link, whether its probe returned or raised.
 
 Two execution shapes are offered:
 
@@ -385,7 +390,9 @@ class ProbeScheduler:
         pending = 0  # submitted futures not yet consumed or discarded
 
         def _execute(probe_state):
-            """Worker-side speculative probe: zero logical accounting."""
+            """Worker-side speculative probe: zero logical accounting.  A
+            probe that raises returns its error, timed like any other, for
+            the consuming link to charge and re-raise."""
             db = silo.replica(base)
             collector = _RowsCollector() if budget_enabled else None
             if collector is not None:
@@ -401,15 +408,18 @@ class ProbeScheduler:
                 else ""
             )
             started = time.perf_counter()
-            result = executable.probe(db)
+            try:
+                result, error = executable.probe(db), None
+            except Exception as raised:
+                result, error = None, raised
             ended = time.perf_counter()
             return (
-                result.is_effectively_empty,
+                error,
+                result,
                 started,
                 ended,
                 collector.rows if collector is not None else 0,
                 db_rows,
-                result.row_count,
                 fingerprint,
             )
 
@@ -487,18 +497,28 @@ class ProbeScheduler:
             # link it would have sequentially.
             module_stats.invocations += 1
             session.budget.charge_invocation()
-            try:
-                (
-                    empty,
-                    started,
-                    ended,
-                    rows_scanned,
-                    db_rows,
-                    row_count,
-                    fingerprint,
-                ) = node.future.result()
-            except Exception as error:
-                executable.charge_logical()
+            (
+                error,
+                result,
+                started,
+                ended,
+                rows_scanned,
+                db_rows,
+                fingerprint,
+            ) = node.future.result()
+            pending -= 1
+            executable.charge_logical(
+                tracer,
+                started,
+                ended,
+                tags={
+                    "db_rows": db_rows,
+                    "parallel": True,
+                    "speculative": speculated,
+                },
+                error=error,
+            )
+            if error is not None:
                 if provenance.enabled:
                     provenance.probe(
                         module_name,
@@ -507,47 +527,26 @@ class ProbeScheduler:
                     )
                 _discard(node.on_populated)
                 _discard(node.on_empty)
-                pending -= 1
-                raise
-            pending -= 1
-            elapsed = ended - started
-            executable.charge_logical(elapsed)
+                raise error
             if budget_enabled and rows_scanned:
                 session.budget.charge_rows_scanned(rows_scanned)
             if tracer.metrics is not None:
-                tracer.metrics.counter("invocations_total").inc()
-                tracer.metrics.histogram(
-                    "invocation_latency_seconds"
-                ).observe(elapsed)
                 tracer.metrics.counter("scheduler_chain_links_total").inc()
                 if speculated:
                     tracer.metrics.counter(
                         "scheduler_speculation_hits_total"
                     ).inc()
-            if tracer.enabled:
-                tracer.record(
-                    executable.name,
-                    kind="invocation",
-                    start=started,
-                    end=ended,
-                    tags={
-                        "executable": executable.name,
-                        "db_rows": db_rows,
-                        "parallel": True,
-                        "speculative": speculated,
-                    },
-                )
             self.stats.chain_links += 1
             if speculated:
                 self.stats.speculation_hits += 1
             table, candidate, fallback = node.probe
-            populated = not empty
+            populated = not result.is_effectively_empty
             state[table] = candidate if populated else fallback
             if provenance.enabled:
                 # consumed link: the one logical invocation just charged
                 provenance.probe(
                     module_name,
-                    rows=row_count,
+                    rows=result.row_count,
                     speculative=speculated,
                     db_fingerprint=fingerprint,
                 )

@@ -6,6 +6,8 @@ from __future__ import annotations
 import io
 import re
 
+import pytest
+
 from repro.cli import main
 from repro.obs.ledger import RunLedger
 
@@ -139,6 +141,38 @@ class TestBenchProvenance:
             assert all(run["label"] == "bench" for run in runs)
             clauses = ledger.clauses(runs[0]["run_id"])
             assert clauses and all(row["probes"] > 0 for row in clauses)
+
+    def test_failed_extraction_marks_run_failed(self, tmp_path, monkeypatch):
+        """A raising extraction leaves its run ``failed`` and the ledger
+        closed, as the CLI does."""
+        from repro.bench.extraction_bench import run_extraction_bench
+        from repro.core.pipeline import UnmasqueExtractor
+
+        def boom(self):
+            raise RuntimeError("extraction blew up")
+
+        closed = []
+        close = RunLedger.close
+
+        def closing(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(UnmasqueExtractor, "extract", boom)
+        monkeypatch.setattr(RunLedger, "close", closing)
+        ledger_path = str(tmp_path / "bench.sqlite")
+        with pytest.raises(RuntimeError, match="blew up"):
+            run_extraction_bench(
+                queries=["Q6"],
+                jobs_levels=[1],
+                scale=0.0005,
+                latency=0.0,
+                ledger_path=ledger_path,
+            )
+        assert len(closed) == 1
+        with RunLedger(ledger_path) as ledger:
+            assert [run["status"] for run in ledger.runs()] == ["failed"]
+            assert ledger.run()["extras"]["error"] == "extraction blew up"
 
     def test_bench_without_ledger_unchanged_shape(self):
         from repro.bench.extraction_bench import run_extraction_bench

@@ -301,30 +301,6 @@ class TestSerde:
             serde.encode_value(object())
 
 
-class TestDeadlineAccounting:
-    def test_overrun_counts_timeout_and_tags_span(self):
-        import time
-
-        from repro.apps.executable import run_with_deadline
-        from repro.obs import MetricsRegistry, Tracer
-
-        def slow(db):
-            time.sleep(0.02)
-            return Result(["x"], [(1,)])
-
-        metrics = MetricsRegistry()
-
-        class _TracedDatabase(_StubDatabase):
-            tracer = Tracer(metrics=metrics)
-
-        db = _TracedDatabase()
-        with pytest.raises(ExecutableTimeoutError):
-            run_with_deadline(CallableExecutable(slow), db, timeout=0.001)
-        assert metrics.counter("invocation_timeouts_total").value == 1
-        spans = [s for s in db.tracer.spans if s.kind == "invocation"]
-        assert spans and spans[-1].tags.get("timed_out") is True
-
-
 class TestCheckpointStore:
     def test_missing_checkpoint_loads_none(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")

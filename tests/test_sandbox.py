@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.apps.executable import CallableExecutable, SQLExecutable, run_with_deadline
+from repro.apps.executable import CallableExecutable, SQLExecutable
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import UnmasqueExtractor
 from repro.core.session import ExtractionSession
@@ -127,16 +127,24 @@ class TestInvocationIsolation:
 
     def test_timeout_mid_dml_is_rolled_back(self):
         db = small_db()
-        before = db.fingerprint()
 
         def slow_writer(database):
             database.insert("t", [(50, "partial")])
             time.sleep(0.02)
+            for _ in database.scan("t"):  # polls the cooperative deadline
+                pass
             return Result(["k"], [(50,)])
 
+        session = ExtractionSession(
+            db,
+            CallableExecutable(slow_writer),
+            ExtractionConfig(retry_base_delay=0.0),
+        )
+        before = session.silo.fingerprint()
         with pytest.raises(ExecutableTimeoutError):
-            run_with_deadline(CallableExecutable(slow_writer), db, timeout=0.001)
-        assert db.fingerprint() == before
+            session.run(timeout=0.001)
+        assert session.silo.fingerprint() == before
+        assert session.stats.invocation_timeouts >= 1
 
     def test_retried_attempts_each_start_clean(self):
         db = small_db()

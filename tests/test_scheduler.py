@@ -157,6 +157,42 @@ class TestAccounting:
         )
         assert snapshot["scheduler_parallel_probes_total"]["value"] > 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_chain_link_is_accounted_like_any_invocation(
+        self, tiny_tpch_db, jobs
+    ):
+        """A halving link whose probe raises is one logical invocation in
+        every ledger — the executable's count, ``invocations_total``, the
+        latency histogram and the ``invocation`` spans — whether it ran
+        inline (jobs=1) or as a consumed speculative probe (jobs=2)."""
+
+        class ChainBreaker(SQLExecutable):
+            # a state the Q3 halving chain reaches on tiny_tpch_db
+            STATE = {"lineitem": 38, "orders": 24, "customer": 37}
+
+            def _execute(self, db, timeout):
+                if all(db.row_count(t) == n for t, n in self.STATE.items()):
+                    raise RuntimeError("broken chain state")
+                return super()._execute(db, timeout)
+
+        registry = MetricsRegistry()
+        tracer = Tracer(metrics=registry)
+        app = ChainBreaker(Q3, name="breaker")
+        config = ExtractionConfig(
+            run_checker=False, jobs=jobs, retry_max_attempts=1
+        )
+        with pytest.raises(RuntimeError, match="broken chain state"):
+            UnmasqueExtractor(tiny_tpch_db, app, config, tracer=tracer).extract()
+        snapshot = registry.snapshot()
+        spans = [span for span in tracer.spans if span.kind == "invocation"]
+        assert spans[-1].tags["error"] == "RuntimeError"
+        assert (
+            app.invocation_count
+            == snapshot["invocations_total"]["value"]
+            == snapshot["invocation_latency_seconds"]["count"]
+            == len(spans)
+        )
+
     def test_outcome_reports_cache_stats(self, tiny_tpch_db):
         outcome = UnmasqueExtractor(
             tiny_tpch_db,
