@@ -1,26 +1,36 @@
 """Filter predicate extraction (paper §4.4).
 
-Every non-key column of the query tables is probed on the single-row database
-``D^1``:
+Every non-key column of the query tables is screened on the single-row
+database ``D^1`` by two group-tested screens (``core/grouptest.py``): the lo
+screen mutates columns to their domain minimum (``""`` for text), the hi
+screen to their domain maximum (``"a"``).  Predicates are conjunctive and
+each involves one column, so a joint probe over several columns, in any
+tables, stays populated exactly when none of them carries a predicate; a
+column the joint probes do not clear gets exactly the per-column probe.
+Only the columns whose extremes are not both populated go on to:
 
-* **Numeric / date columns** — mutate the column to its domain extremes; the
-  populated/empty pattern of the two results selects one of the four cases of
-  Table 2, and binary searches recover the precise bounds.  Dates are probed
+* **Numeric / date columns** — the populated/empty pattern of the two
+  extreme probes selects one of the four cases of Table 2, and binary
+  searches recover the precise bounds.  Dates are probed
   on the day axis; fixed-precision decimals on an integer axis scaled by
   ``10^scale`` (equivalent to the paper's two-phase integral+fractional
   search, folded into one).
-* **Textual columns** — an empty-string and a single-character probe decide
+* **Textual columns** — the empty-string and single-character probes decide
   existence; the Minimal Qualifying String is recovered by per-character
   replacement; wildcard gaps (runs of non-intrinsic characters, including the
   string boundaries) are sized by deletion/insertion probes that distinguish
   ``_`` (exact length) from ``%`` (variable length) — the reconstruction of
   the technical-report algorithm documented in DESIGN.md §5.
+
+The NULL-aware path (``extract_null_predicates``) keeps one full check per
+column.
 """
 
 from __future__ import annotations
 
 import datetime
 
+from repro.core.grouptest import CLEARED, Screen, group_test, own_probes
 from repro.core.model import Filter, NumericFilter, TextFilter
 from repro.core.session import ExtractionSession
 from repro.engine.types import (
@@ -37,13 +47,15 @@ _FILLER_ALPHABET = "zqjxkw"
 def extract_filters(session: ExtractionSession) -> list[Filter]:
     """Identify ``F_E`` and record it on the session's query.
 
-    Columns are probed independently: every probe mutates only its own
-    column's value in ``D^1`` while all other columns keep satisfying their
-    own conjunctive predicates, so the populated/empty signal for one column
-    is unaffected by any other column's probe.  That independence lets the
-    per-column checks fan out across the session's probe scheduler
-    (``--jobs``); results come back in column order, so the extracted filter
-    list is identical to the sequential schedule's.
+    Columns are independent: every probe mutates only the columns under test
+    while all other columns of ``D^1`` keep satisfying their own conjunctive
+    predicates.  So two group-tested screens (:func:`_screen_extremes`) find
+    the columns whose domain extremes empty the result, and only those go on
+    to the bound searches (one task per bound) and LIKE reconstruction,
+    fanned out across the session's probe scheduler (``--jobs``).  Results
+    come back in column order, so the extracted filter list is identical to
+    the sequential schedule's.  The NULL-aware path keeps one full check per
+    column.
     """
     with session.module("filters"):
         columns = [
@@ -51,20 +63,181 @@ def extract_filters(session: ExtractionSession) -> list[Filter]:
             for table in session.query.tables
             for column in session.nonkey_columns(table)
         ]
-        predicates = session.scheduler.map(
-            columns, _check_column, label="filters"
-        )
+        if session.config.extract_null_predicates:
+            predicates = session.scheduler.map(
+                columns, _check_column, label="filters"
+            )
+        else:
+            predicates = _check_screened(session, _screen_extremes(session, columns))
         filters = [p for p in predicates if p is not None]
         session.query.filters = filters
         return filters
 
 
+def _screen_extremes(
+    session: ExtractionSession, columns: list[ColumnNode]
+) -> list[tuple[ColumnNode, bool, bool]]:
+    """``(column, populated_min, populated_max)`` for every column whose two
+    extreme probes are not both populated (Table 2, Cases 2-4).
+
+    The lo screen mutates numeric and date columns to their domain minimum
+    and text columns to ``""``; the hi screen mutates them to the domain
+    maximum and ``"a"``.  A text column whose ``""`` probe is empty skips
+    the hi screen, as its per-column check always did.  A joint probe over
+    several columns, possibly in several tables, is populated exactly when
+    none of them carries a predicate, so it clears them all; a column that
+    is not cleared gets its own per-column probe.
+    """
+    lo_items = [(column, _extreme(session, column, high=False)) for column in columns]
+    lo = _extreme_screen(session, lo_items, "lo")
+    # A column bounded below is usually bounded above too (BETWEEN,
+    # equality): the hi screen puts the numeric ones first, so its positives
+    # sit together and fewer joint probes split.
+    hi_columns = [
+        column
+        for column, populated in zip(columns, lo)
+        if not populated and not session.column_type(column).is_textual
+    ] + [column for column, populated in zip(columns, lo) if populated]
+    hi_items = [(column, _extreme(session, column, high=True)) for column in hi_columns]
+    hi = dict(zip(hi_columns, _extreme_screen(session, hi_items, "hi")))
+    flagged = []
+    for column, populated_min in zip(columns, lo):
+        populated_max = hi.get(column, False)
+        if not (populated_min and populated_max):
+            flagged.append((column, populated_min, populated_max))
+    return flagged
+
+
+def _extreme(session: ExtractionSession, column: ColumnNode, high: bool):
+    col_type = session.column_type(column)
+    if col_type.is_numeric or col_type.is_temporal:
+        axis = _Axis(session, column)
+        return axis.from_axis(axis.hi if high else axis.lo)
+    if col_type.is_textual:
+        return "a" if high else ""
+    raise ExtractionError(f"unsupported column type for {column}: {col_type.name}")
+
+
+def _extreme_screen(
+    session: ExtractionSession, items: list[tuple[ColumnNode, object]], side: str
+) -> list[bool]:
+    """Whether each ``(column, value)`` probe is populated."""
+
+    def joint(ctx, group):
+        result = ctx.run_on_d1_cells(dict(group))
+        return result.row_count == 1 and not result.is_effectively_empty
+
+    def single(ctx, item):
+        column, value = item
+        before = len(ctx.provenance.events)
+        if isinstance(value, str):
+            populated = _text_probe(ctx, column, value)
+        else:
+            populated = not ctx.run_on_d1_mutation(
+                column.table, {column.column: value}
+            ).is_effectively_empty
+        if ctx.provenance.enabled:
+            ctx.provenance.refine(
+                "filters",
+                f"{column.table}.{column.column}",
+                "filters",
+                detail=f"{side} extreme probe "
+                + ("populated" if populated else "empty"),
+                key=("filters", (column.table, column.column)),
+                claim=False,
+                extra_evidence=own_probes(ctx.provenance, before),
+            )
+        return populated
+
+    (outcomes,) = group_test(
+        session,
+        [
+            Screen(
+                items=items,
+                joint=joint,
+                single=single,
+                clause="filters",
+                describe=lambda item: f"{item[0].table}.{item[0].column}",
+            )
+        ],
+        label="filters",
+    )
+    return [outcome is CLEARED or outcome for outcome in outcomes]
+
+
+def _check_screened(
+    session: ExtractionSession, flagged: list[tuple[ColumnNode, bool, bool]]
+) -> list[Filter]:
+    """The predicate on every column the screens flagged, in column order.
+
+    A numeric column's lower and upper bound searches are independent (each
+    probes from the ``D^1`` anchor outwards), so each bound is its own
+    scheduler task, as is each LIKE reconstruction.
+    """
+    checks = []
+    for column, populated_min, populated_max in flagged:
+        if session.column_type(column).is_textual:
+            checks.append((column, "like"))
+            continue
+        if not populated_min:  # Cases 2 and 4: find l over (i_min, a]
+            checks.append((column, "lo"))
+        if not populated_max:  # Cases 3 and 4: find r over [a, i_max)
+            checks.append((column, "hi"))
+    found = dict(zip(checks, session.scheduler.map(checks, _check_part, label="filters")))
+    predicates = []
+    for column, _, _ in flagged:
+        if (column, "like") in found:
+            predicate = found[(column, "like")]
+        else:
+            axis = _Axis(session, column)
+            predicate = _numeric_filter(
+                column,
+                axis,
+                found.get((column, "lo"), axis.lo),
+                found.get((column, "hi"), axis.hi),
+            )
+        predicates.append(predicate)
+        if session.provenance.enabled:
+            session.provenance.accept(
+                "filters",
+                predicate.to_sql(),
+                "filters",
+                detail=f"column {column.table}.{column.column}",
+                key=("filters", (column.table, column.column)),
+                claim=False,
+            )
+    return predicates
+
+
+def _check_part(session: ExtractionSession, check: tuple[ColumnNode, str]):
+    """One bound search (``lo``/``hi``: its axis value) or one LIKE
+    reconstruction (``like``: the filter), with the probes it ran recorded
+    against its column."""
+    column, part = check
+    provenance = session.provenance
+    before = len(provenance.events)
+    if part == "like":
+        outcome = _check_textual(session, column, screened=True)
+    else:
+        outcome = _search_bound(session, column, high=part == "hi")
+    if provenance.enabled:
+        provenance.refine(
+            "filters",
+            f"{column.table}.{column.column}",
+            "filters",
+            detail={"lo": "lower bound search", "hi": "upper bound search"}.get(
+                part, "LIKE reconstruction"
+            ),
+            key=("filters", (column.table, column.column)),
+            claim=False,
+            extra_evidence=own_probes(provenance, before),
+        )
+    return outcome
+
+
 def _check_column(session: ExtractionSession, column: ColumnNode) -> Filter | None:
     col_type = session.column_type(column)
-    if session.config.extract_null_predicates:
-        predicate = _check_with_null_probes(session, column, col_type)
-    else:
-        predicate = _check_valued(session, column, col_type)
+    predicate = _check_with_null_probes(session, column, col_type)
     # Clause evidence: claim every probe this column's check issued (each
     # task's recorder pool holds exactly its own probes, sequentially the
     # pool holds the probes since the previous column's claim).
@@ -188,13 +361,15 @@ def _check_numeric(session: ExtractionSession, column: ColumnNode) -> NumericFil
     populated_max = _numeric_probe(session, column, axis, axis.hi)
     if populated_min and populated_max:
         return None  # Table 2, Case 1
-
-    anchor = axis.to_axis(session.d1_value(column))
     lo_axis, hi_axis = axis.lo, axis.hi
     if not populated_min:  # Cases 2 and 4: find l over (i_min, a]
-        lo_axis = _search_lower_bound(session, column, axis, anchor)
+        lo_axis = _search_bound(session, column, high=False)
     if not populated_max:  # Cases 3 and 4: find r over [a, i_max)
-        hi_axis = _search_upper_bound(session, column, axis, anchor)
+        hi_axis = _search_bound(session, column, high=True)
+    return _numeric_filter(column, axis, lo_axis, hi_axis)
+
+
+def _numeric_filter(column: ColumnNode, axis: _Axis, lo_axis: int, hi_axis: int) -> NumericFilter:
     return NumericFilter(
         column=column,
         lo=axis.from_axis(lo_axis),
@@ -202,6 +377,15 @@ def _check_numeric(session: ExtractionSession, column: ColumnNode) -> NumericFil
         domain_lo=axis.from_axis(axis.lo),
         domain_hi=axis.from_axis(axis.hi),
     )
+
+
+def _search_bound(session: ExtractionSession, column: ColumnNode, high: bool) -> int:
+    """The bound's axis value, searched from the ``D^1`` value outwards."""
+    axis = _Axis(session, column)
+    anchor = axis.to_axis(session.d1_value(column))
+    if high:
+        return _search_upper_bound(session, column, axis, anchor)
+    return _search_lower_bound(session, column, axis, anchor)
 
 
 def _numeric_probe(
@@ -244,8 +428,14 @@ def _search_upper_bound(
 # --- textual ---------------------------------------------------------------
 
 
-def _check_textual(session: ExtractionSession, column: ColumnNode) -> TextFilter | None:
-    if _text_probe(session, column, "") and _text_probe(session, column, "a"):
+def _check_textual(
+    session: ExtractionSession, column: ColumnNode, screened: bool = False
+) -> TextFilter | None:
+    """The LIKE pattern on a text column; ``screened`` when its extreme
+    probes are already known not to be both populated."""
+    if not screened and _text_probe(session, column, "") and _text_probe(
+        session, column, "a"
+    ):
         # Populated in both extremes occurs only for the vacuous `like '%'`.
         return None
 

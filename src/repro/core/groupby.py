@@ -7,21 +7,27 @@ values split 2/1.  A final result of two rows then proves the attribute is a
 grouping column.
 
 * Case 1 — attribute outside the join graph: its table gets three rows with
-  values ``(p, p, q)``; every other table one row.
+  values ``(p, p, q)``; every other table one row.  A table's case-1
+  attributes are group-tested (``core/grouptest.py``): every member of a
+  group takes its ``(p, p, q)`` on the same rows, so the result has two rows
+  exactly when at least one member groups, and a joint probe that returns
+  one row (or three: nothing merges) clears them all.
 * Case 2 — attribute inside a join clique: its table gets three rows with key
   values ``(1, 1, 2)``; each table holding a clique-mate gets two rows keyed
   ``(1, 2)``; the rest one row.
 
 Columns pinned by equality filters are skipped (grouping on them is
 superfluous), and one clique member stands for the whole clique (its members
-are interchangeable under the equi-join).  If no grouping column surfaces, a
-two-row all-distinct database distinguishes an ungrouped aggregation (one
-result row) from a plain SPJ query (two rows).
+are interchangeable under the equi-join); each clique keeps its own probe.
+If no grouping column surfaces, a two-row all-distinct database
+distinguishes an ungrouped aggregation (one result row) from a plain SPJ
+query (two rows).
 """
 
 from __future__ import annotations
 
 from repro.core.dgen import DgenBuilder
+from repro.core.grouptest import Screen, group_test, own_probes
 from repro.core.session import ExtractionSession
 from repro.core.svalues import SValueError, SValueSource
 from repro.sgraph.schema_graph import ColumnNode
@@ -31,35 +37,33 @@ def extract_group_by(session: ExtractionSession, svalues: SValueSource) -> list[
     """Identify ``G_E`` and the ungrouped-aggregation flag."""
     with session.module("group_by"):
         builder = DgenBuilder(session, svalues)
+        # every default value the probe databases use, cached before the
+        # scheduler's tasks build them
+        builder.build({})
+        screens: list[Screen] = []
         tested_cliques: set = set()
-
-        # Each candidate's probe database is a pure function of the schema,
-        # the join cliques, and the (cached) s-values, and its two-row/one-row
-        # outcome decides membership for that candidate alone — so the probe
-        # databases are materialized up front in discovery order and the runs
-        # fan out across the probe scheduler.
-        probes: list[tuple[ColumnNode, dict[str, list[tuple]]]] = []
         for table in session.query.tables:
+            candidates = []
             for column in session.table_columns(table):
                 clique = session.query.clique_of(column)
                 if clique is not None:
-                    if clique in tested_cliques:
-                        continue
-                    tested_cliques.add(clique)
-                    probes.append(_clique_probe(builder, clique))
+                    if clique not in tested_cliques:
+                        tested_cliques.add(clique)
+                        screens.append(_clique_screen(builder, clique))
                     continue
                 if svalues.is_equality_constrained(column):
                     continue  # superfluous in G_E
-                probe = _case1_probe(svalues, builder, column)
-                if probe is not None:
-                    probes.append(probe)
+                try:
+                    candidates.append((column, svalues.pair(column)))
+                except SValueError:
+                    continue  # effectively equality-pinned: superfluous in G_E
+            screens.append(_case1_screen(builder, table, candidates))
 
-        row_counts = session.scheduler.map(
-            probes, _membership_probe, label="group_by"
-        )
+        outcomes = group_test(session, screens, label="group_by")
         group_by = [
             column
-            for (column, _), count in zip(probes, row_counts)
+            for screen, counts in zip(screens, outcomes)
+            for (column, _), count in zip(screen.items, counts)
             if count == 2
         ]
 
@@ -86,45 +90,68 @@ def extract_group_by(session: ExtractionSession, svalues: SValueSource) -> list[
 def _membership_probe(session: ExtractionSession, probe) -> int:
     """One candidate's 2/1-split probe, with its accept/reject evidence.
 
-    The decision is made (and recorded) inside the task so each scheduler
-    context's recorder claims exactly its own probe — sequentially, the
-    session recorder behaves identically.
+    The decision is made (and recorded) inside the task, citing exactly
+    its own probe, so the evidence is the same at every ``--jobs``.
     """
     column, rows = probe
-    count = session.run_on(rows).row_count
     provenance = session.provenance
+    before = len(provenance.events)
+    count = session.run_on(rows).row_count
     if provenance.enabled:
         target = f"{column.table}.{column.column}"
-        if count == 2:
-            provenance.accept(
-                "group_by",
-                target,
-                "group_by",
-                detail="2/1-split probe returned two result rows",
-            )
-        else:
-            provenance.reject(
-                "group_by",
-                target,
-                "group_by",
-                detail=f"2/1-split probe returned {count} result row(s)",
-            )
+        record = provenance.accept if count == 2 else provenance.reject
+        record(
+            "group_by",
+            target,
+            "group_by",
+            detail=f"2/1-split probe returned {count} result row(s)",
+            claim=False,
+            extra_evidence=own_probes(provenance, before),
+        )
     return count
 
 
-def _case1_probe(
-    svalues: SValueSource, builder: DgenBuilder, column: ColumnNode
-) -> tuple[ColumnNode, dict[str, list[tuple]]] | None:
-    """Case 1 probe database, or None for an effectively pinned column."""
-    try:
-        p, q = svalues.pair(column)
-    except SValueError:
-        return None  # effectively equality-pinned: superfluous in G_E
-    rows = builder.build(
-        row_counts={column.table: 3},
-        overrides={column: [p, p, q]},
+def _case1_screen(builder: DgenBuilder, table: str, candidates: list) -> Screen:
+    """Case 1 over one table's candidates ``(column, (p, q))``.
+
+    The table gets three rows; every member of a probed group takes the
+    values ``(p, p, q)`` on the same rows, so the first two rows stay
+    identical and the third differs in every member.  The result has two
+    rows exactly when at least one member groups; one row (the rows were
+    aggregated together) or three (identical rows were not merged, so
+    nothing groups) clears the group.
+    """
+
+    def rows(group):
+        return builder.build(
+            row_counts={table: 3},
+            overrides={column: [p, p, q] for column, (p, q) in group},
+        )
+
+    def joint(ctx, group):
+        return ctx.run_on(rows(group)).row_count in (1, 3)
+
+    def single(ctx, item):
+        return _membership_probe(ctx, (item[0], rows([item])))
+
+    return Screen(
+        items=candidates,
+        joint=joint,
+        single=single,
+        clause="group_by",
+        describe=lambda item: f"{item[0].table}.{item[0].column}",
     )
-    return column, rows
+
+
+def _clique_screen(builder: DgenBuilder, clique) -> Screen:
+    """Case 2 for one join clique: its own probe, never a joint one."""
+    column, rows = _clique_probe(builder, clique)
+    return Screen(
+        items=[(column, rows)],
+        joint=None,
+        single=_membership_probe,
+        clause="group_by",
+    )
 
 
 def _clique_probe(

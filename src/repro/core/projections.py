@@ -7,8 +7,13 @@ collapses to its argument and count() to 1):
 1. **Dependency list identification** — each mutation unit (a join clique
    moves as one unit to keep the SPJ core satisfied; every other column moves
    alone) is flipped to fresh s-values; output columns that change depend on
-   it.  A second, context-jittered attempt guards against coincidental
-   cancellations (the paper's ``A = -b/c`` example).
+   it.  The units are group-tested (``core/grouptest.py``): a joint flip that
+   moves no output clears every unit in it, and a unit that is not cleared is
+   flipped alone, so each dependency's changed outputs come from its own
+   probe.  A second, context-jittered attempt guards against coincidental
+   cancellations (the paper's ``A = -b/c`` example); it runs once, jointly,
+   over every unit the first attempt cleared, and unit by unit only when
+   that joint guard moves an output.
 2. **Function identification** — for ``k`` dependency units, the multilinear
    form has ``2^k`` coefficients over the product basis; probe assignments are
    drawn until the basis matrix is invertible and the system is solved
@@ -26,9 +31,15 @@ import math
 
 import numpy as np
 
+from repro.core.grouptest import (
+    CLEARED,
+    INCONCLUSIVE,
+    Screen,
+    group_test,
+    own_probes,
+)
 from repro.core.model import OutputColumn, ScalarFunction
 from repro.core.session import ExtractionSession
-from repro.obs.provenance import PROBE
 from repro.core.svalues import SValueError, SValueSource
 from repro.errors import ExtractionError, UnsupportedQueryError
 from repro.sgraph.schema_graph import ColumnNode
@@ -61,25 +72,7 @@ def extract_projections(session: ExtractionSession, svalues: SValueSource) -> li
         session.baseline_result = baseline
         names = _unique_names(baseline.columns)
 
-        units = _mutation_units(session)
-        # Dependency probing mutates disjoint units against the same D^1
-        # baseline, so the per-unit checks are independent and fan out across
-        # the probe scheduler.  The s-value source is prewarmed first: its
-        # caches make the worker-thread lookups read-only (and it is a pure
-        # function of the filter set, so prewarming changes no outcome).
-        # Function identification below stays sequential — it consumes the
-        # session RNG, whose draw order is part of the determinism contract.
-        if session.scheduler.parallel:
-            _prewarm_svalues(session, svalues, units)
-        changed_per_unit = session.scheduler.map(
-            units,
-            lambda ctx, unit: _dependency_probe(ctx, svalues, unit, baseline),
-            label="projections",
-        )
-        deps_per_output: list[list[MutationUnit]] = [[] for _ in names]
-        for unit, changed in zip(units, changed_per_unit):
-            for output_index in changed:
-                deps_per_output[output_index].append(unit)
+        deps_per_output = dependency_lists(session, svalues, baseline)
 
         provenance = session.provenance
         outputs: list[OutputColumn] = []
@@ -95,7 +88,7 @@ def extract_projections(session: ExtractionSession, svalues: SValueSource) -> li
             output = OutputColumn(name=name, position=position, function=function)
             outputs.append(output)
             if provenance.enabled and function is not None:
-                seqs = _probe_seqs(provenance, before)
+                seqs = own_probes(provenance, before)
                 provenance.refine(
                     "select",
                     output.select_sql(),
@@ -112,22 +105,103 @@ def extract_projections(session: ExtractionSession, svalues: SValueSource) -> li
         return outputs
 
 
-def _probe_seqs(provenance, start: int) -> tuple[int, ...]:
-    """Sequence numbers of the probes recorded since event index ``start``."""
-    return tuple(
-        event.seq
-        for event in provenance.events[start:]
-        if event.kind == PROBE
+def dependency_lists(
+    session: ExtractionSession, svalues: SValueSource, baseline
+) -> list[list[MutationUnit]]:
+    """Each output's dependency units, in unit order (the screen of §4.5).
+
+    Attempt 1 flips units to fresh s-values and group-tests them: a joint
+    flip that moves no output clears every unit in it, and a unit that is
+    not cleared is flipped alone, so each dependency's changed-output set
+    comes from its own probe.  Attempt 2, the jitter guard against
+    coincidental cancellations, runs once over the union of the units
+    attempt 1 cleared; if that joint guard moves any output, or is
+    inconclusive, every unit in the union gets its own guard.
+
+    The probes mutate units against the same ``D^1`` baseline, so they fan
+    out across the probe scheduler.  The s-value source is prewarmed first:
+    its caches make the worker-thread lookups read-only (and it is a pure
+    function of the filter set, so prewarming changes no outcome).  Function
+    identification stays sequential — it consumes the session RNG, whose
+    draw order is part of the determinism contract.
+    """
+    units = _mutation_units(session)
+    if session.scheduler.parallel:
+        _prewarm_svalues(session, svalues, units)
+    baseline_row = baseline.first_row()
+    flips = [_first_flip(session, svalues, unit) for unit in units]
+    probed = [i for i, flip in enumerate(flips) if flip is not None]
+
+    def joint(ctx, group):
+        cells = {}
+        for index in group:
+            cells.update(flips[index])
+        result = ctx.run_on_d1_cells(cells)
+        return result.row_count == 1 and not _diff_outputs(baseline_row, result)
+
+    def single(ctx, index):
+        return _record_dependency(
+            ctx,
+            units[index],
+            lambda: _diff_outputs(baseline_row, ctx.run_on_d1_cells(flips[index])),
+        )
+
+    (outcomes,) = group_test(
+        session,
+        [
+            Screen(
+                items=probed,
+                joint=joint,
+                single=single,
+                clause="select",
+                describe=lambda index: str(units[index].representative),
+            )
+        ],
+        label="projections",
     )
+    changed: dict[int, set[int]] = {}
+    unmoved = []
+    for index, outcome in zip(probed, outcomes):
+        if outcome is CLEARED or not outcome:
+            unmoved.append(index)
+        else:
+            changed[index] = outcome
+    seconds = {
+        index: _fresh_values(
+            session,
+            svalues,
+            units[index],
+            {
+                session.d1_value(units[index].representative),
+                next(iter(flips[index].values())),
+            },
+        )
+        for index in unmoved
+    }
+    guarded = [index for index in unmoved if seconds[index] is not None]
+    if guarded and not _joint_guard_clears(
+        session, svalues, [(units[i], seconds[i]) for i in guarded]
+    ):
+        moved = session.scheduler.map(
+            guarded,
+            lambda ctx, index: _record_dependency(
+                ctx,
+                units[index],
+                lambda: _second_attempt(ctx, svalues, units[index], seconds[index]),
+            ),
+            label="projections",
+        )
+        changed.update(zip(guarded, moved))
+
+    deps_per_output: list[list[MutationUnit]] = [[] for _ in baseline_row]
+    for index, unit in enumerate(units):
+        for output_index in sorted(changed.get(index, ())):
+            deps_per_output[output_index].append(unit)
+    return deps_per_output
 
 
-def _dependency_probe(
-    session: ExtractionSession,
-    svalues: SValueSource,
-    unit: MutationUnit,
-    baseline,
-) -> set[int]:
-    """One unit's dependency check, with its probes attributed per output.
+def _record_dependency(session: ExtractionSession, unit: MutationUnit, probe) -> set[int]:
+    """Run one unit's own dependency probe(s), with evidence per output.
 
     The refine events accumulate under ``("select", position)`` so the later
     function-identification and aggregation-refinement stages inherit this
@@ -136,9 +210,9 @@ def _dependency_probe(
     """
     provenance = session.provenance
     before = len(provenance.events)
-    changed = _unit_affects(session, svalues, unit, baseline)
+    changed = probe()
     if provenance.enabled and changed:
-        seqs = _probe_seqs(provenance, before)
+        seqs = own_probes(provenance, before)
         for index in sorted(changed):
             provenance.refine(
                 "select",
@@ -220,66 +294,81 @@ def _fresh_values(
     return None
 
 
-def _run_with(
-    session: ExtractionSession, assignment: dict[ColumnNode, object]
-):
-    by_table: dict[str, dict[str, object]] = {}
-    for column, value in assignment.items():
-        by_table.setdefault(column.table, {})[column.column] = value
-    rows: dict[str, list[tuple]] = {}
-    for table, mutations in by_table.items():
-        schema = session.silo.schema(table)
-        row = list(session.d1[table])
-        for name, value in mutations.items():
-            row[schema.column_index(name)] = value
-        rows[table] = [tuple(row)]
-    return session.run_on(rows)
+def _first_flip(
+    session: ExtractionSession, svalues: SValueSource, unit: MutationUnit
+) -> dict[ColumnNode, object] | None:
+    """Attempt 1's assignment, or None for a unit that cannot be probed:
+    equality-pinned columns cannot move (nor group)."""
+    representative = unit.representative
+    if svalues.capacity(representative) < 2:
+        return None
+    return _fresh_values(
+        session, svalues, unit, {session.d1_value(representative)}
+    )
 
 
-def _unit_affects(
+def _joint_guard_clears(
+    session: ExtractionSession,
+    svalues: SValueSource,
+    seconds: list[tuple[MutationUnit, dict[ColumnNode, object]]],
+) -> bool:
+    """Attempt 2 over the union of ``seconds``' units, as one joint guard.
+
+    The context outside the union is jittered, then every unit is flipped
+    to its attempt-2 value at once; the union is cleared when the two
+    probes return one row each and agree on every output.
+    """
+    union = {column for unit, _ in seconds for column in unit.columns}
+    jitter = _jitter_context(session, svalues, union)
+    flipped = dict(jitter)
+    for _, assignment in seconds:
+        flipped.update(assignment)
+
+    base, result = session.scheduler.map(
+        [jitter, flipped], _guard_probe, label="projections"
+    )
+    return (
+        base is not None
+        and result is not None
+        and base.row_count == 1
+        and result.row_count == 1
+        and not _diff_outputs(base.first_row(), result)
+    )
+
+
+def _guard_probe(session: ExtractionSession, cells: dict[ColumnNode, object]):
+    """One probe of the joint guard; None when it is inconclusive."""
+    try:
+        return session.run_on_d1_cells(cells)
+    except INCONCLUSIVE:
+        return None
+
+
+def _second_attempt(
     session: ExtractionSession,
     svalues: SValueSource,
     unit: MutationUnit,
-    baseline,
+    assignment: dict[ColumnNode, object],
 ) -> set[int]:
-    """Output positions affected by mutating this unit (two-attempt guard)."""
-    representative = unit.representative
-    if svalues.capacity(representative) < 2:
-        return set()  # equality-pinned columns cannot be probed (nor grouped)
-    current = session.d1_value(representative)
-
-    changed: set[int] = set()
-    # Attempt 1: flip the unit alone.
-    assignment = _fresh_values(session, svalues, unit, {current})
-    if assignment is not None:
-        result = _run_with(session, assignment)
-        changed = _diff_outputs(baseline.first_row(), result)
-        if changed:
-            return changed
-        # Attempt 2: flip to yet another value (coincidence guard), with the
-        # rest of the row jittered to break multiplicative cancellations.
-        jitter = _jitter_context(session, svalues, unit)
-        base2 = _run_with(session, jitter)
-        assignment2 = _fresh_values(
-            session, svalues, unit, {current, next(iter(assignment.values()))}
-        )
-        if assignment2 is not None and base2.row_count == 1:
-            combined = dict(jitter)
-            combined.update(assignment2)
-            result2 = _run_with(session, combined)
-            changed = _diff_outputs(base2.first_row(), result2)
-    return changed
+    """One unit's own jitter guard: flip it to ``assignment`` with the rest
+    of the row jittered, to break multiplicative cancellations."""
+    jitter = _jitter_context(session, svalues, set(unit.columns))
+    base = session.run_on_d1_cells(jitter)
+    if base.row_count != 1:
+        return set()
+    combined = dict(jitter)
+    combined.update(assignment)
+    return _diff_outputs(base.first_row(), session.run_on_d1_cells(combined))
 
 
 def _jitter_context(
-    session: ExtractionSession, svalues: SValueSource, unit: MutationUnit
+    session: ExtractionSession, svalues: SValueSource, excluded: set[ColumnNode]
 ) -> dict[ColumnNode, object]:
-    """Fresh s-values for the numeric non-key columns outside the unit."""
+    """Fresh s-values for the numeric non-key columns not ``excluded``."""
     jitter: dict[ColumnNode, object] = {}
-    unit_columns = set(unit.columns)
     for table in session.query.tables:
         for column in session.nonkey_columns(table):
-            if column in unit_columns:
+            if column in excluded:
                 continue
             if not session.column_type(column).is_numeric:
                 continue
@@ -348,7 +437,7 @@ def _verify_identity(
         )
     probe = _fresh_values(session, svalues, unit, {session.d1_value(representative)})
     if probe is not None:
-        result = _run_with(session, probe)
+        result = session.run_on_d1_cells(probe)
         if result.row_count == 1:
             expected = next(iter(probe.values()))
             if result.first_row()[output_index] != expected:
@@ -398,7 +487,7 @@ def _solve_multilinear(
         for unit, value in zip(deps, assignment_values):
             for column in unit.columns:
                 assignment[column] = value
-        result = _run_with(session, assignment)
+        result = session.run_on_d1_cells(assignment)
         if result.row_count != 1:
             continue
         output_value = result.first_row()[output_index]

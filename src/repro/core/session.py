@@ -20,7 +20,7 @@ import random
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.apps.executable import Executable, InvocationMemo
 from repro.core.config import ExtractionConfig
@@ -74,6 +74,21 @@ class ExtractionStats:
 
     def breakdown(self) -> dict[str, float]:
         return {name: stats.seconds for name, stats in self.modules.items()}
+
+
+@dataclass
+class PrefetchedAttempt:
+    """A first invocation attempt already executed on a silo replica.
+
+    ``outcome()`` waits for the execution and returns ``(error, result,
+    started, ended, rows_scanned, db_rows, fingerprint)``; ``state`` maps
+    table name to the rows it ran against, installed on the silo if the
+    attempt is retried live.
+    """
+
+    outcome: Callable[[], tuple]
+    state: dict
+    speculative: bool = False
 
 
 class ProbeSurface:
@@ -130,7 +145,11 @@ class ProbeSurface:
 
     # -- black-box invocation ------------------------------------------------
 
-    def run(self, timeout: Optional[float] = None) -> Result:
+    def run(
+        self,
+        timeout: Optional[float] = None,
+        prefetched: Optional["PrefetchedAttempt"] = None,
+    ) -> Result:
         """Invoke the application on the silo's current contents.
 
         The :class:`~repro.resilience.retry.RetryPolicy` is applied here —
@@ -145,6 +164,11 @@ class ProbeSurface:
         writes cut off by a timeout — is rolled back before the next attempt
         or before control returns, so probes always observe exactly the
         state the module set up.
+
+        With ``prefetched`` (a consumed speculative chain link), attempt 1
+        is the execution that already ran on a replica: it is charged and
+        recorded here like a live one, and a retry runs live on the silo
+        with the link's tables installed.
         """
         module_stats = self.stats.module(self._current_module)
         policy = self.retry
@@ -155,7 +179,13 @@ class ProbeSurface:
                 self.budget.charge_invocation()
             token = self.silo.snapshot()
             try:
-                result = self._invoke(timeout)
+                if prefetched is not None and attempt == 1:
+                    result = self._consume(prefetched)
+                else:
+                    if prefetched is not None:
+                        for table, rows in prefetched.state.items():
+                            self.silo.replace_rows(table, rows)
+                    result = self._invoke(timeout)
                 if self.provenance.enabled:
                     self._record_probe_event(result, None)
                 return result
@@ -204,6 +234,41 @@ class ProbeSurface:
                 self.silo.deadline = None
         return self.executable.run(self.silo)
 
+    def _consume(self, prefetched: "PrefetchedAttempt") -> Result:
+        """Account a prefetched attempt as one logical invocation: the same
+        counters, span and budget charges as a live run, after the fact."""
+        (
+            error,
+            result,
+            started,
+            ended,
+            rows_scanned,
+            db_rows,
+            fingerprint,
+        ) = prefetched.outcome()
+        self.executable.charge_logical(
+            self.tracer,
+            started,
+            ended,
+            tags={
+                "db_rows": db_rows,
+                "parallel": True,
+                "speculative": prefetched.speculative,
+            },
+            error=error,
+        )
+        self.silo.last_invocation = {
+            "cached": False,
+            "fingerprint": fingerprint,
+            "speculative": prefetched.speculative,
+        }
+        if error is not None:
+            raise error
+        if rows_scanned:
+            with self._lock:
+                self.budget.charge_rows_scanned(rows_scanned)
+        return result
+
     def _record_probe_event(self, result, error) -> None:
         """One ``probe`` evidence event per logical invocation attempt.
 
@@ -219,6 +284,7 @@ class ProbeSurface:
             rows=result.row_count if result is not None else None,
             error=type(error).__name__ if error is not None else "",
             cached=bool(info.get("cached")),
+            speculative=bool(info.get("speculative")),
             isolated=self.backend is not None,
             db_fingerprint=str(info.get("fingerprint") or ""),
         )
@@ -277,6 +343,18 @@ class ProbeSurface:
     ) -> Result:
         """Run against ``D^1`` with some columns of one table's row replaced."""
         return self.run_on({table.lower(): [self._mutated_d1_row(table, mutations)]})
+
+    def run_on_d1_cells(self, cells: dict[ColumnNode, object]) -> Result:
+        """Run against ``D^1`` with the given cells replaced, in any tables."""
+        by_table: dict[str, dict[str, object]] = {}
+        for column, value in cells.items():
+            by_table.setdefault(column.table, {})[column.column] = value
+        return self.run_on(
+            {
+                table: [self._mutated_d1_row(table, mutations)]
+                for table, mutations in by_table.items()
+            }
+        )
 
     def _mutated_d1_row(self, table: str, mutations: dict[str, object]) -> tuple:
         schema = self.silo.schema(table)

@@ -1,10 +1,10 @@
 """Deterministic concurrent execution of extraction probes.
 
 The UNMASQUE pipeline spends almost all of its wall-clock inside black-box
-invocations, and most of those are *independent by construction*: filter
-probing touches one column's value while every other column of the resident
-D¹ row keeps satisfying its own (conjunctive) predicate, and projection
-dependency checks jitter disjoint mutation units.  The
+invocations, and most of those are *independent by construction*: a filter
+screen probe mutates only the columns under test while every other column of
+the resident D¹ row keeps satisfying its own (conjunctive) predicate, and
+projection dependency checks flip disjoint mutation units.  The
 :class:`ProbeScheduler` exploits exactly that independence — and nothing
 more — under a hard **determinism contract** (DESIGN.md §5.14):
 
@@ -38,8 +38,11 @@ Two execution shapes are offered:
     two possible outcomes (probe result populated → keep the candidate
     half, empty → keep the other), so the scheduler speculates ahead down
     the binary outcome tree on idle workers using the accounting-free
-    :meth:`~repro.apps.executable.Executable.probe` primitive, then charges
-    only the links actually consumed.  With ``jobs=1`` the chain executes
+    :meth:`~repro.apps.executable.Executable.probe` primitive.  A consumed
+    link goes through :meth:`~repro.core.session.ProbeSurface.run` as a
+    prefetched first attempt, so it is charged like any invocation and a
+    retryable failure is retried live on the silo, as with ``jobs=1``.
+    Discarded probes are never charged.  With ``jobs=1`` the chain executes
     inline on the silo, byte-identical to the historical loop.
 
 Sequential mode (``jobs=1``) never allocates a thread pool, a replica, or a
@@ -57,6 +60,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.apps.executable import InvocationMemo
+from repro.core.session import PrefetchedAttempt
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import NULL_PROVENANCE, ProvenanceRecorder
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -142,6 +146,7 @@ class _ChainNode:
     __slots__ = (
         "state",
         "probe",
+        "probe_state",
         "future",
         "on_populated",
         "on_empty",
@@ -151,6 +156,8 @@ class _ChainNode:
     def __init__(self, state, probe, speculative: bool = False):
         self.state = state
         self.probe = probe
+        #: the tables the probe runs against: ``state`` with the candidate
+        self.probe_state = None
         self.future = None
         #: True when the probe was submitted before its parent's outcome was
         #: known — i.e. ahead of the sequential schedule
@@ -380,7 +387,6 @@ class ProbeScheduler:
         session = self.session
         silo = session.silo
         executable = session.executable
-        module_stats = session.stats.module(session._current_module)
         tracer = session.tracer
         base = silo.snapshot()
         executor = self._ensure_executor()
@@ -392,7 +398,7 @@ class ProbeScheduler:
         def _execute(probe_state):
             """Worker-side speculative probe: zero logical accounting.  A
             probe that raises returns its error, timed like any other, for
-            the consuming link to charge and re-raise."""
+            the consuming link to charge and retry or re-raise."""
             db = silo.replica(base)
             collector = _RowsCollector() if budget_enabled else None
             if collector is not None:
@@ -429,9 +435,9 @@ class ProbeScheduler:
             node = _ChainNode(node_state, probe, speculative)
             if probe is not None:
                 table, candidate, _ = probe
-                probe_state = dict(node_state)
-                probe_state[table] = candidate
-                node.future = executor.submit(_execute, probe_state)
+                node.probe_state = dict(node_state)
+                node.probe_state[table] = candidate
+                node.future = executor.submit(_execute, node.probe_state)
                 pending += 1
             return node
 
@@ -492,44 +498,21 @@ class ProbeScheduler:
         while node.probe is not None:
             speculated = node.speculative
             _expand(node)
-            # Sequential charging order: the attempt is charged before its
-            # outcome is observed, so budget exhaustion fires at the same
-            # link it would have sequentially.
-            module_stats.invocations += 1
-            session.budget.charge_invocation()
-            (
-                error,
-                result,
-                started,
-                ended,
-                rows_scanned,
-                db_rows,
-                fingerprint,
-            ) = node.future.result()
+            # The consumed link is one logical invocation through the
+            # session's single funnel: charged before its outcome is
+            # observed (so budget exhaustion fires at the same link it would
+            # sequentially), and retried live on a retryable error.
             pending -= 1
-            executable.charge_logical(
-                tracer,
-                started,
-                ended,
-                tags={
-                    "db_rows": db_rows,
-                    "parallel": True,
-                    "speculative": speculated,
-                },
-                error=error,
-            )
-            if error is not None:
-                if provenance.enabled:
-                    provenance.probe(
-                        module_name,
-                        error=type(error).__name__,
-                        speculative=speculated,
+            try:
+                result = session.run(
+                    prefetched=PrefetchedAttempt(
+                        node.future.result, node.probe_state, speculated
                     )
+                )
+            except BaseException:
                 _discard(node.on_populated)
                 _discard(node.on_empty)
-                raise error
-            if budget_enabled and rows_scanned:
-                session.budget.charge_rows_scanned(rows_scanned)
+                raise
             if tracer.metrics is not None:
                 tracer.metrics.counter("scheduler_chain_links_total").inc()
                 if speculated:
@@ -543,13 +526,6 @@ class ProbeScheduler:
             populated = not result.is_effectively_empty
             state[table] = candidate if populated else fallback
             if provenance.enabled:
-                # consumed link: the one logical invocation just charged
-                provenance.probe(
-                    module_name,
-                    rows=result.row_count,
-                    speculative=speculated,
-                    db_fingerprint=fingerprint,
-                )
                 provenance.mutation(
                     module_name,
                     table,

@@ -193,6 +193,51 @@ class TestAccounting:
             == len(spans)
         )
 
+    def test_retryable_chain_link_retries_at_every_jobs_level(self, tiny_tpch_db):
+        """A halving link whose first attempt raises a retryable error is
+        retried through the session's retry policy whether it ran inline
+        (jobs=1) or as a consumed speculative probe (jobs=2/4): the same
+        SQL, the same invocation count and the same single retry."""
+        from repro.errors import TransientExecutableError
+
+        class FlakyOnce(SQLExecutable):
+            # a state the Q3 halving chain reaches on tiny_tpch_db
+            STATE = {"lineitem": 38, "orders": 24, "customer": 37}
+
+            def __init__(self, sql, name):
+                super().__init__(sql, name=name)
+                self.tripped = False
+
+            def _execute(self, db, timeout):
+                if not self.tripped and all(
+                    db.row_count(t) == n for t, n in self.STATE.items()
+                ):
+                    self.tripped = True
+                    raise TransientExecutableError("flaky chain state")
+                return super()._execute(db, timeout)
+
+        observed = {}
+        for jobs in (1, 2, 4):
+            registry = MetricsRegistry()
+            app = FlakyOnce(Q3, name=f"flaky-{jobs}")
+            assert app.cacheable
+            outcome = UnmasqueExtractor(
+                tiny_tpch_db,
+                app,
+                ExtractionConfig(
+                    run_checker=False, jobs=jobs, retry_base_delay=0.0
+                ),
+                tracer=Tracer(metrics=registry),
+            ).extract()
+            assert app.tripped
+            observed[jobs] = (
+                outcome.sql,
+                outcome.stats.total_invocations,
+                registry.snapshot()["retries_total"]["value"],
+            )
+        assert observed[1][2] == 1
+        assert observed[1] == observed[2] == observed[4]
+
     def test_outcome_reports_cache_stats(self, tiny_tpch_db):
         outcome = UnmasqueExtractor(
             tiny_tpch_db,
