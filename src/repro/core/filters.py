@@ -51,11 +51,10 @@ def extract_filters(session: ExtractionSession) -> list[Filter]:
     while all other columns of ``D^1`` keep satisfying their own conjunctive
     predicates.  So two group-tested screens (:func:`_screen_extremes`) find
     the columns whose domain extremes empty the result, and only those go on
-    to the bound searches (one task per bound) and LIKE reconstruction,
-    fanned out across the session's probe scheduler (``--jobs``).  Results
-    come back in column order, so the extracted filter list is identical to
-    the sequential schedule's.  The NULL-aware path keeps one full check per
-    column.
+    to the bound searches and LIKE reconstruction, one column per task of the
+    session's probe scheduler (``--jobs``).  Results come back in column
+    order, so the extracted filter list is identical to the sequential
+    schedule's.  The NULL-aware path keeps one full check per column.
     """
     with session.module("filters"):
         columns = [
@@ -64,11 +63,10 @@ def extract_filters(session: ExtractionSession) -> list[Filter]:
             for column in session.nonkey_columns(table)
         ]
         if session.config.extract_null_predicates:
-            predicates = session.scheduler.map(
-                columns, _check_column, label="filters"
-            )
+            checks = [(column, None) for column in columns]
         else:
-            predicates = _check_screened(session, _screen_extremes(session, columns))
+            checks = _screen_extremes(session, columns)
+        predicates = session.scheduler.map(checks, _check_column, label="filters")
         filters = [p for p in predicates if p is not None]
         session.query.filters = filters
         return filters
@@ -76,9 +74,9 @@ def extract_filters(session: ExtractionSession) -> list[Filter]:
 
 def _screen_extremes(
     session: ExtractionSession, columns: list[ColumnNode]
-) -> list[tuple[ColumnNode, bool, bool]]:
-    """``(column, populated_min, populated_max)`` for every column whose two
-    extreme probes are not both populated (Table 2, Cases 2-4).
+) -> list[tuple[ColumnNode, tuple[bool, bool]]]:
+    """``(column, (populated_min, populated_max))`` for every column whose
+    two extreme probes are not both populated (Table 2, Cases 2-4).
 
     The lo screen mutates numeric and date columns to their domain minimum
     and text columns to ``""``; the hi screen mutates them to the domain
@@ -104,7 +102,7 @@ def _screen_extremes(
     for column, populated_min in zip(columns, lo):
         populated_max = hi.get(column, False)
         if not (populated_min and populated_max):
-            flagged.append((column, populated_min, populated_max))
+            flagged.append((column, (populated_min, populated_max)))
     return flagged
 
 
@@ -165,83 +163,25 @@ def _extreme_screen(
     return [outcome is CLEARED or outcome for outcome in outcomes]
 
 
-def _check_screened(
-    session: ExtractionSession, flagged: list[tuple[ColumnNode, bool, bool]]
-) -> list[Filter]:
-    """The predicate on every column the screens flagged, in column order.
-
-    A numeric column's lower and upper bound searches are independent (each
-    probes from the ``D^1`` anchor outwards), so each bound is its own
-    scheduler task, as is each LIKE reconstruction.
-    """
-    checks = []
-    for column, populated_min, populated_max in flagged:
-        if session.column_type(column).is_textual:
-            checks.append((column, "like"))
-            continue
-        if not populated_min:  # Cases 2 and 4: find l over (i_min, a]
-            checks.append((column, "lo"))
-        if not populated_max:  # Cases 3 and 4: find r over [a, i_max)
-            checks.append((column, "hi"))
-    found = dict(zip(checks, session.scheduler.map(checks, _check_part, label="filters")))
-    predicates = []
-    for column, _, _ in flagged:
-        if (column, "like") in found:
-            predicate = found[(column, "like")]
-        else:
-            axis = _Axis(session, column)
-            predicate = _numeric_filter(
-                column,
-                axis,
-                found.get((column, "lo"), axis.lo),
-                found.get((column, "hi"), axis.hi),
-            )
-        predicates.append(predicate)
-        if session.provenance.enabled:
-            session.provenance.accept(
-                "filters",
-                predicate.to_sql(),
-                "filters",
-                detail=f"column {column.table}.{column.column}",
-                key=("filters", (column.table, column.column)),
-                claim=False,
-            )
-    return predicates
-
-
-def _check_part(session: ExtractionSession, check: tuple[ColumnNode, str]):
-    """One bound search (``lo``/``hi``: its axis value) or one LIKE
-    reconstruction (``like``: the filter), with the probes it ran recorded
-    against its column."""
-    column, part = check
+def _check_column(
+    session: ExtractionSession, check: tuple[ColumnNode, tuple[bool, bool] | None]
+) -> Filter | None:
+    """One column's predicate.  ``check`` is ``(column, extremes)``, where
+    ``extremes`` is the screens' ``(populated_min, populated_max)``, or None
+    on the NULL-aware path, which makes every probe itself."""
+    column, extremes = check
+    col_type = session.column_type(column)
     provenance = session.provenance
     before = len(provenance.events)
-    if part == "like":
-        outcome = _check_textual(session, column, screened=True)
+    if extremes is None:
+        predicate = _check_with_null_probes(session, column, col_type)
     else:
-        outcome = _search_bound(session, column, high=part == "hi")
-    if provenance.enabled:
-        provenance.refine(
-            "filters",
-            f"{column.table}.{column.column}",
-            "filters",
-            detail={"lo": "lower bound search", "hi": "upper bound search"}.get(
-                part, "LIKE reconstruction"
-            ),
-            key=("filters", (column.table, column.column)),
-            claim=False,
-            extra_evidence=own_probes(provenance, before),
-        )
-    return outcome
-
-
-def _check_column(session: ExtractionSession, column: ColumnNode) -> Filter | None:
-    col_type = session.column_type(column)
-    predicate = _check_with_null_probes(session, column, col_type)
-    # Clause evidence: claim every probe this column's check issued (each
-    # task's recorder pool holds exactly its own probes, sequentially the
-    # pool holds the probes since the previous column's claim).
-    provenance = session.provenance
+        predicate = _check_valued(session, column, col_type, extremes)
+    # Clause evidence: every probe this column's check issued.  The
+    # NULL-aware path claims them from the pool (each task's recorder pool
+    # holds exactly its own probes, sequentially the pool holds the probes
+    # since the previous column's claim); a screened column cites them,
+    # because the screens leave their own probes in the pool.
     if provenance.enabled:
         if predicate is not None:
             provenance.accept(
@@ -250,6 +190,8 @@ def _check_column(session: ExtractionSession, column: ColumnNode) -> Filter | No
                 "filters",
                 detail=f"column {column.table}.{column.column}",
                 key=("filters", (column.table, column.column)),
+                claim=extremes is None,
+                extra_evidence=() if extremes is None else own_probes(provenance, before),
             )
         else:
             provenance.reject(
@@ -261,11 +203,15 @@ def _check_column(session: ExtractionSession, column: ColumnNode) -> Filter | No
     return predicate
 
 
-def _check_valued(session: ExtractionSession, column: ColumnNode, col_type) -> Filter | None:
+def _check_valued(
+    session: ExtractionSession, column: ColumnNode, col_type, extremes=None
+) -> Filter | None:
+    """The value predicate on ``column``; ``extremes`` is its known
+    ``(populated_min, populated_max)``, probed here when None."""
     if col_type.is_numeric or col_type.is_temporal:
-        return _check_numeric(session, column)
+        return _check_numeric(session, column, extremes)
     if col_type.is_textual:
-        return _check_textual(session, column)
+        return _check_textual(session, column, extremes)
     raise ExtractionError(f"unsupported column type for {column}: {col_type.name}")
 
 
@@ -355,21 +301,25 @@ class _Axis:
         return axis
 
 
-def _check_numeric(session: ExtractionSession, column: ColumnNode) -> NumericFilter | None:
+def _check_numeric(
+    session: ExtractionSession, column: ColumnNode, extremes=None
+) -> NumericFilter | None:
     axis = _Axis(session, column)
-    populated_min = _numeric_probe(session, column, axis, axis.lo)
-    populated_max = _numeric_probe(session, column, axis, axis.hi)
+    if extremes is None:
+        extremes = (
+            _numeric_probe(session, column, axis, axis.lo),
+            _numeric_probe(session, column, axis, axis.hi),
+        )
+    populated_min, populated_max = extremes
     if populated_min and populated_max:
         return None  # Table 2, Case 1
+
+    anchor = axis.to_axis(session.d1_value(column))
     lo_axis, hi_axis = axis.lo, axis.hi
     if not populated_min:  # Cases 2 and 4: find l over (i_min, a]
-        lo_axis = _search_bound(session, column, high=False)
+        lo_axis = _search_lower_bound(session, column, axis, anchor)
     if not populated_max:  # Cases 3 and 4: find r over [a, i_max)
-        hi_axis = _search_bound(session, column, high=True)
-    return _numeric_filter(column, axis, lo_axis, hi_axis)
-
-
-def _numeric_filter(column: ColumnNode, axis: _Axis, lo_axis: int, hi_axis: int) -> NumericFilter:
+        hi_axis = _search_upper_bound(session, column, axis, anchor)
     return NumericFilter(
         column=column,
         lo=axis.from_axis(lo_axis),
@@ -377,15 +327,6 @@ def _numeric_filter(column: ColumnNode, axis: _Axis, lo_axis: int, hi_axis: int)
         domain_lo=axis.from_axis(axis.lo),
         domain_hi=axis.from_axis(axis.hi),
     )
-
-
-def _search_bound(session: ExtractionSession, column: ColumnNode, high: bool) -> int:
-    """The bound's axis value, searched from the ``D^1`` value outwards."""
-    axis = _Axis(session, column)
-    anchor = axis.to_axis(session.d1_value(column))
-    if high:
-        return _search_upper_bound(session, column, axis, anchor)
-    return _search_lower_bound(session, column, axis, anchor)
 
 
 def _numeric_probe(
@@ -429,13 +370,14 @@ def _search_upper_bound(
 
 
 def _check_textual(
-    session: ExtractionSession, column: ColumnNode, screened: bool = False
+    session: ExtractionSession, column: ColumnNode, extremes=None
 ) -> TextFilter | None:
-    """The LIKE pattern on a text column; ``screened`` when its extreme
-    probes are already known not to be both populated."""
-    if not screened and _text_probe(session, column, "") and _text_probe(
-        session, column, "a"
-    ):
+    """The LIKE pattern on a text column; ``extremes`` is its known
+    ``("", "a")`` probe outcomes, probed here when None."""
+    if extremes is None:
+        populated_min = _text_probe(session, column, "")
+        extremes = (populated_min, populated_min and _text_probe(session, column, "a"))
+    if all(extremes):
         # Populated in both extremes occurs only for the vacuous `like '%'`.
         return None
 

@@ -10,7 +10,9 @@ collapses to its argument and count() to 1):
    it.  The units are group-tested (``core/grouptest.py``): a joint flip that
    moves no output clears every unit in it, and a unit that is not cleared is
    flipped alone, so each dependency's changed outputs come from its own
-   probe.  A second, context-jittered attempt guards against coincidental
+   probe.  A joint flip never moves two units that are equal in ``D^1`` to
+   one value, nor swaps two units' values, so it cannot cancel ``a - b`` or
+   ``a + b`` by its choice of values.  A second, context-jittered attempt guards against coincidental
    cancellations (the paper's ``A = -b/c`` example); it runs once, jointly,
    over every unit the first attempt cleared, and unit by unit only when
    that joint guard moves an output.
@@ -129,13 +131,16 @@ def dependency_lists(
     if session.scheduler.parallel:
         _prewarm_svalues(session, svalues, units)
     baseline_row = baseline.first_row()
+    current = [session.d1_value(unit.representative) for unit in units]
     flips = [_first_flip(session, svalues, unit) for unit in units]
     probed = [i for i, flip in enumerate(flips) if flip is not None]
 
     def joint(ctx, group):
-        cells = {}
-        for index in group:
-            cells.update(flips[index])
+        cells = _joint_cells(
+            session, svalues, [(units[i], current[i], {current[i]}) for i in group]
+        )
+        if cells is None:
+            return False
         result = ctx.run_on_d1_cells(cells)
         return result.row_count == 1 and not _diff_outputs(baseline_row, result)
 
@@ -166,21 +171,14 @@ def dependency_lists(
             unmoved.append(index)
         else:
             changed[index] = outcome
+    avoid = {index: {current[index], *flips[index].values()} for index in unmoved}
     seconds = {
-        index: _fresh_values(
-            session,
-            svalues,
-            units[index],
-            {
-                session.d1_value(units[index].representative),
-                next(iter(flips[index].values())),
-            },
-        )
+        index: _fresh_values(session, svalues, units[index], avoid[index])
         for index in unmoved
     }
     guarded = [index for index in unmoved if seconds[index] is not None]
     if guarded and not _joint_guard_clears(
-        session, svalues, [(units[i], seconds[i]) for i in guarded]
+        session, svalues, [(units[i], current[i], avoid[i]) for i in guarded]
     ):
         moved = session.scheduler.map(
             guarded,
@@ -307,22 +305,52 @@ def _first_flip(
     )
 
 
+def _joint_cells(
+    session: ExtractionSession,
+    svalues: SValueSource,
+    members: list[tuple[MutationUnit, object, set]],
+) -> dict[ColumnNode, object] | None:
+    """One joint flip of ``members``, each ``(unit, D^1 value, avoid)``.
+
+    Each unit takes its first candidate outside its own ``avoid``, outside
+    every member's ``D^1`` value, and outside the values already given to
+    earlier members with its ``D^1`` value.  So no two units trade values
+    (which would cancel ``a + b``), and no two units that are equal in
+    ``D^1`` move to one value (which would cancel ``a - b`` and ``a / b``).
+    A single member takes exactly its per-unit value.  None when a unit runs
+    out of candidates: the group is then split, never cleared.
+    """
+    shared = {value for _, value, _ in members}
+    given: dict[object, set] = {}
+    cells: dict[ColumnNode, object] = {}
+    for unit, value, avoid in members:
+        taken = given.setdefault(value, set())
+        fresh = _fresh_values(session, svalues, unit, avoid | shared | taken)
+        if fresh is None:
+            return None
+        taken.update(fresh.values())
+        cells.update(fresh)
+    return cells
+
+
 def _joint_guard_clears(
     session: ExtractionSession,
     svalues: SValueSource,
-    seconds: list[tuple[MutationUnit, dict[ColumnNode, object]]],
+    members: list[tuple[MutationUnit, object, set]],
 ) -> bool:
-    """Attempt 2 over the union of ``seconds``' units, as one joint guard.
+    """Attempt 2 over the union of ``members``' units, as one joint guard.
 
     The context outside the union is jittered, then every unit is flipped
-    to its attempt-2 value at once; the union is cleared when the two
-    probes return one row each and agree on every output.
+    to a second fresh value at once (:func:`_joint_cells`); the union is
+    cleared when the two probes return one row each and agree on every
+    output.
     """
-    union = {column for unit, _ in seconds for column in unit.columns}
+    cells = _joint_cells(session, svalues, members)
+    if cells is None:
+        return False
+    union = {column for unit, _, _ in members for column in unit.columns}
     jitter = _jitter_context(session, svalues, union)
-    flipped = dict(jitter)
-    for _, assignment in seconds:
-        flipped.update(assignment)
+    flipped = {**jitter, **cells}
 
     base, result = session.scheduler.map(
         [jitter, flipped], _guard_probe, label="projections"

@@ -21,7 +21,8 @@ from repro.apps import SQLExecutable
 from repro.core import ExtractionConfig, UnmasqueExtractor, filters, groupby, projections
 from repro.core.dgen import DgenBuilder
 from repro.core.svalues import SValueError
-from repro.workloads import random_queries
+from repro.engine import Column, Database, IntegerType, TableSchema, VarcharType
+from repro.workloads import having_queries, random_queries
 
 from tests.test_golden_corpus import CORPUS, GOLDEN_DIR, _queries
 
@@ -59,7 +60,7 @@ def _reference_extremes(session, columns):
             populated_min = filters._numeric_probe(session, column, axis, axis.lo)
             populated_max = filters._numeric_probe(session, column, axis, axis.hi)
         if not (populated_min and populated_max):
-            flagged.append((column, populated_min, populated_max))
+            flagged.append((column, (populated_min, populated_max)))
     return flagged
 
 
@@ -201,3 +202,56 @@ def test_screens_never_cost_more_than_per_item_probes(workload, name, corpus_dbs
         corpus_dbs[workload], app, ExtractionConfig(run_checker=False)
     ).extract()
     assert outcome.stats.total_invocations <= PER_ITEM_INVOCATIONS[name]
+
+
+@pytest.fixture(scope="module")
+def equal_pair_db():
+    """Two integer columns equal on every row, so they are equal in ``D^1``
+    and have the same candidate values."""
+    db = Database(
+        [
+            TableSchema(
+                name="pairs",
+                columns=(
+                    Column("p_key", IntegerType()),
+                    Column("p_a", IntegerType(lo=0, hi=100)),
+                    Column("p_b", IntegerType(lo=0, hi=100)),
+                    Column("p_note", VarcharType(8)),
+                ),
+                primary_key=("p_key",),
+            )
+        ]
+    )
+    db.insert("pairs", [(i, 10 + i % 7, 10 + i % 7, "note") for i in range(1, 41)])
+    return db
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "select p_a - p_b as gap from pairs",
+        "select p_b - p_a as gap from pairs where p_a <= 14",
+    ],
+)
+def test_joint_flips_do_not_cancel_a_difference_of_equal_columns(
+    sql, equal_pair_db, compared
+):
+    """A joint flip that moved both columns to one value would leave the
+    difference at 0 and clear both dependencies."""
+    app = SQLExecutable(sql, name="screen-equal-pair")
+    outcome = UnmasqueExtractor(
+        equal_pair_db, app, ExtractionConfig(run_checker=False)
+    ).extract()
+    assert compared == ["filters", "projections", "group_by"]
+    gap = outcome.query.outputs[-1].function
+    assert {column.column for column in gap.deps} == {"p_a", "p_b"}
+
+
+@pytest.mark.parametrize("name", having_queries.names())
+def test_screens_match_per_item_reference_under_having(name, tpch_db, compared):
+    """The HAVING pipeline runs the projection and group-by screens on its
+    multi-row template, with s-value guards and a probe multiplier."""
+    app = SQLExecutable(having_queries.QUERIES[name].sql, name=f"screen-{name}")
+    config = ExtractionConfig(run_checker=False, extract_having=True)
+    UnmasqueExtractor(tpch_db, app, config).extract()
+    assert compared == ["projections", "group_by"]
