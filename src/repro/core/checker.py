@@ -53,13 +53,25 @@ class CheckReport:
 
 
 def verify_extraction(session: ExtractionSession, svalues: SValueSource) -> CheckReport:
-    """Run both verification suites against the assembled query."""
+    """Run both verification suites against the assembled query.
+
+    Every candidate database is built first, on the main thread (the random
+    ones draw from ``session.rng``, which parallel probe tasks do not have);
+    the comparisons then run as one scheduler batch and their mismatches
+    are reported in candidate order.
+    """
     with session.module("checker"):
-        report = CheckReport()
         sql = session.query.sql
-        for rows in _candidate_databases(session, svalues):
-            report.databases_checked += 1
-            _compare_once(session, sql, rows, report)
+        candidates = list(_candidate_databases(session, svalues))
+        outcomes = session.scheduler.map(
+            candidates,
+            lambda ctx, rows: _compare_once(ctx, sql, rows),
+            label="checker",
+        )
+        report = CheckReport(
+            databases_checked=len(candidates),
+            mismatches=[mismatch for mismatch in outcomes if mismatch],
+        )
         if session.config.checker_strict and not report.passed:
             raise CheckFailedError(
                 "extracted query disagrees with the application on "
@@ -69,58 +81,48 @@ def verify_extraction(session: ExtractionSession, svalues: SValueSource) -> Chec
         return report
 
 
-def _compare_once(
-    session: ExtractionSession, sql: str, rows: dict[str, list[tuple]], report: CheckReport
-) -> None:
+def _compare_once(session, sql: str, rows: dict[str, list[tuple]]) -> str | None:
+    """Run both queries on ``rows``; the mismatch found, if any."""
     # Both sides must see the *same* physical database, so the probe
     # multiplier (a HAVING-pipeline internal device) is deliberately not
     # applied here: rows are swapped in directly.
     from repro.errors import ReproError
 
-    snapshot = {name: session.silo.rows(name) for name in rows}
-    try:
+    with session.silo.sandbox():
         for name, table_rows in rows.items():
             session.silo.replace_rows(name, table_rows)
         hidden = session.run()
         try:
             extracted = session.silo.execute(sql)
         except ReproError as exc:
-            report.mismatches.append(f"extracted SQL failed to execute: {exc}")
-            return
-    finally:
-        for name, table_rows in snapshot.items():
-            session.silo.replace_rows(name, table_rows)
+            return f"extracted SQL failed to execute: {exc}"
 
     limit = session.query.limit
     if limit is not None and hidden.row_count == limit:
         # A tripped LIMIT under ordering ties is nondeterministic: any row
         # tied on the full ordering key at the cut boundary may survive, so
         # equality is required only off the boundary key.
-        if not _limited_results_match(session, hidden, extracted, report):
-            return
+        mismatch = _limited_results_mismatch(session, hidden, extracted)
+        if mismatch:
+            return mismatch
     elif not _multisets_match(hidden, extracted):
-        report.mismatches.append(
-            f"multiset mismatch ({hidden.row_count} vs {extracted.row_count} rows)"
-        )
-        return
+        return f"multiset mismatch ({hidden.row_count} vs {extracted.row_count} rows)"
     if session.query.order_by and not _ordered_prefix_matches(
         session, hidden, extracted
     ):
-        report.mismatches.append("ordering mismatch (position checksum differs)")
+        return "ordering mismatch (position checksum differs)"
+    return None
 
 
-def _limited_results_match(
-    session: ExtractionSession, hidden: Result, extracted: Result, report: CheckReport
-) -> bool:
+def _limited_results_mismatch(session, hidden: Result, extracted: Result) -> str | None:
     """Comparison for results cut by LIMIT: boundary-tied rows may differ."""
     if hidden.row_count != extracted.row_count:
-        report.mismatches.append(
+        return (
             f"limit cardinality mismatch ({hidden.row_count} vs "
             f"{extracted.row_count} rows)"
         )
-        return False
     if not session.query.order_by:
-        return True  # LIMIT without ORDER BY: any n-row subset is valid
+        return None  # LIMIT without ORDER BY: any n-row subset is valid
     key_positions = [
         session.query.output_named(spec.output_name).position
         for spec in session.query.order_by
@@ -133,8 +135,7 @@ def _limited_results_match(
     keys_h, rows_h = keyed(hidden)
     keys_e, rows_e = keyed(extracted)
     if keys_h != keys_e:
-        report.mismatches.append("limit ordering-key mismatch")
-        return False
+        return "limit ordering-key mismatch"
     boundary = keys_h[-1]
     from collections import Counter
 
@@ -145,9 +146,8 @@ def _limited_results_match(
         row for key, row in zip(keys_e, rows_e) if key != boundary
     )
     if off_boundary_h != off_boundary_e:
-        report.mismatches.append("limit off-boundary row mismatch")
-        return False
-    return True
+        return "limit off-boundary row mismatch"
+    return None
 
 
 def normalize_rows(result: Result) -> list[tuple]:

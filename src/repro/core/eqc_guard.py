@@ -249,11 +249,13 @@ def _non_equi_join_probes(session: ExtractionSession) -> list[EqcSignal]:
     the hidden predicate is not equality (``<``, ``<=``, ``!=`` joins are
     outside EQC).  Probes whose mutated value does not survive the column's
     type coercion are skipped — a coerced-back-to-equal value would make an
-    honest equi-join look non-equi.
+    honest equi-join look non-equi.  The cliques' probes are independent and
+    run as one scheduler batch.
     """
     if not session.d1:
         return []
-    signals = []
+    probes = []
+    mutations = []
     for clique in session.query.join_cliques:
         columns = sorted(clique.columns, key=lambda c: (c.table, c.column))
         by_table = {}
@@ -270,9 +272,15 @@ def _non_equi_join_probes(session: ExtractionSession) -> list[EqcSignal]:
         coerced = session.column_type(mutate).coerce(probe_value)
         if coerced == base:
             continue  # truncated back to equality; probe would be unsound
-        result = session.run_on_d1_mutation(
-            mutate.table, {mutate.column: probe_value}
-        )
+        probes.append((clique, keep, mutate, base, coerced))
+        mutations.append((mutate.table, {mutate.column: probe_value}))
+    results = session.scheduler.map(
+        mutations,
+        lambda ctx, mutation: ctx.run_on_d1_mutation(*mutation),
+        label="eqc_postflight",
+    )
+    signals = []
+    for (clique, keep, mutate, base, coerced), result in zip(probes, results):
         if not result.is_effectively_empty:
             signals.append(
                 EqcSignal(

@@ -383,16 +383,18 @@ def _probe_value_driven(
         return None
 
     if duplicate_table is None:
-        same = builder.run(builder.build(row_counts, overrides))
-        rev = builder.run(builder.build(row_counts, reversed_overrides))
-    else:
-        same = builder.run(
-            _with_duplicated_row(builder, row_counts, overrides, duplicate_table, 1)
+        same, rev = _run_pair(
+            session,
+            builder.build(row_counts, overrides),
+            builder.build(row_counts, reversed_overrides),
         )
-        rev = builder.run(
+    else:
+        same, rev = _run_pair(
+            session,
+            _with_duplicated_row(builder, row_counts, overrides, duplicate_table, 1),
             _with_duplicated_row(
                 builder, row_counts, reversed_overrides, duplicate_table, 1
-            )
+            ),
         )
     if same.row_count != 2 or rev.row_count != 2:
         return None
@@ -448,11 +450,10 @@ def _probe_count_star(
     if duplicate_table is None:
         return None
 
-    same = builder.run(
-        _with_duplicated_row(builder, row_counts, overrides, duplicate_table, 0)
-    )
-    rev = builder.run(
-        _with_duplicated_row(builder, row_counts, overrides, duplicate_table, 1)
+    same, rev = _run_pair(
+        session,
+        _with_duplicated_row(builder, row_counts, overrides, duplicate_table, 0),
+        _with_duplicated_row(builder, row_counts, overrides, duplicate_table, 1),
     )
     if same.row_count != 2 or rev.row_count != 2:
         return None
@@ -467,6 +468,16 @@ def _probe_count_star(
     ):
         return "desc"
     return None
+
+
+def _run_pair(session: ExtractionSession, same: dict, rev: dict) -> tuple:
+    """Run the ``D²_same`` / ``D²_rev`` pair as one scheduler batch: both
+    probes always run, and neither depends on the other's outcome."""
+    return tuple(
+        session.scheduler.map(
+            [same, rev], lambda ctx, rows: ctx.run_on(rows), label="order_by"
+        )
+    )
 
 
 def _stretch_sum_gap(

@@ -88,17 +88,19 @@ class SValueSource:
             self._distinct_cache[column] = values
         return values
 
-    #: text capacity is measured by actual generation, capped here — far above
-    #: any probe cardinality the pipeline requests.
+    #: text capacity is capped here — far above any probe cardinality the
+    #: pipeline requests.
     TEXT_CAPACITY_CAP = 4096
 
     def capacity(self, column: ColumnNode) -> int:
         """Number of distinct s-values the column admits (possibly huge).
 
-        For textual columns the count is established constructively — by
-        generating candidate values under the column's length limit — so a
-        ``distinct(column, n)`` call with ``n <= capacity(column)`` never
-        fails.
+        For a textual column under a LIKE pattern the count is established
+        constructively — by generating matching values under the column's
+        length limit — so a ``distinct(column, n)`` call with
+        ``n <= capacity(column)`` never fails; without a predicate it is the
+        number of strings :func:`_enumerate_strings` can produce, in closed
+        form.
         """
         cached = self._capacity_cache.get(column)
         if cached is not None:
@@ -116,6 +118,8 @@ class SValueSource:
                 self._to_axis(hi, col_type) - self._to_axis(lo, col_type) + 1
                 for lo, hi in predicate.intervals
             )
+        elif col_type.is_textual and predicate is None:
+            capacity = _count_strings(self.TEXT_CAPACITY_CAP, self._max_length(column))
         elif col_type.is_textual:
             capacity = len(self._text_values(column, predicate, self.TEXT_CAPACITY_CAP))
         else:
@@ -220,6 +224,17 @@ def _enumerate_strings(n: int, max_length: int) -> list[str]:
                 return values
         length += 1
     return values
+
+
+def _count_strings(cap: int, max_length: int) -> int:
+    """``len(_enumerate_strings(cap, max_length))``: ``min(cap, Σ 26^l)``
+    over lengths ``1..max_length``, without generating a string."""
+    total = 0
+    for length in range(1, max_length + 1):
+        total += 26**length
+        if total >= cap:
+            return cap
+    return total
 
 
 def _expand_pattern(pattern: str, n: int, max_length: int) -> list[str]:

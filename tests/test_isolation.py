@@ -9,6 +9,7 @@ over TCP — then end-to-end through a real extraction under
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
@@ -731,9 +732,14 @@ class TestHardFaultChaos:
 
         from repro.resilience.faults import FAULT_PROFILES, FaultyExecutable
 
-        # hard faults are drawn per invocation ordinal; seed 133 draws one
-        # at ordinal 17 (for both profiles), early in any extraction of SQL
-        plan = FAULT_PROFILES[profile].with_seed(133)
+        # hard faults are drawn per invocation ordinal: take the first seed
+        # whose plan fires early in any extraction of SQL
+        base = FAULT_PROFILES[profile]
+        plan = next(
+            candidate
+            for candidate in map(base.with_seed, itertools.count())
+            if any(candidate.draw_hard(ordinal) for ordinal in range(1, 10))
+        )
         config = ExtractionConfig(
             isolate="process",
             worker_default_timeout=1.0,

@@ -3,12 +3,20 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import SQLExecutable
 from repro.core.config import ExtractionConfig
 from repro.core.model import NumericFilter, TextFilter
 from repro.core.session import ExtractionSession
-from repro.core.svalues import SValueError, SValueSource, _expand_pattern
+from repro.core.svalues import (
+    SValueError,
+    SValueSource,
+    _count_strings,
+    _enumerate_strings,
+    _expand_pattern,
+)
 from repro.datagen import tpch
 from repro.sgraph import ColumnNode
 
@@ -50,6 +58,27 @@ class TestUnfilteredColumns:
 
     def test_char1_capacity(self, source):
         assert source.capacity(ColumnNode("orders", "o_orderstatus")) == 26
+
+
+class TestTextCapacity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cap=st.integers(min_value=1, max_value=SValueSource.TEXT_CAPACITY_CAP),
+        max_length=st.integers(min_value=0, max_value=3),
+    )
+    def test_closed_form_counts_enumeration(self, cap, max_length):
+        assert _count_strings(cap, max_length) == len(
+            _enumerate_strings(cap, max_length)
+        )
+
+    def test_unfiltered_text_capacity_matches_generation(self, session, source):
+        cap = SValueSource.TEXT_CAPACITY_CAP
+        for table in session.query.tables:
+            for column in session.table_columns(table):
+                if session.column_type(column).is_textual:
+                    assert source.capacity(column) == len(
+                        source._text_values(column, None, cap)
+                    )
 
 
 class TestFilteredColumns:
