@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.apps.executable import SQLExecutable
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import UnmasqueExtractor
+from repro.core.pipeline import run_extraction
 from repro.engine.database import Database
 
 #: join-heavy queries whose probe mix concentrates in the parallel phases
@@ -78,6 +78,18 @@ def _bench_config(jobs: int) -> ExtractionConfig:
     )
 
 
+def _latency_percentiles(metrics) -> dict:
+    """Rounded invocation-latency percentiles, or {} when none were timed."""
+    if "invocation_latency_seconds" not in metrics:
+        return {}
+    histogram = metrics.histogram("invocation_latency_seconds")
+    if not histogram.count:
+        return {}
+    return {
+        name: round(value, 6) for name, value in histogram.percentiles().items()
+    }
+
+
 def run_extraction_bench(
     queries: Optional[list[str]] = None,
     jobs_levels: Optional[list[int]] = None,
@@ -95,7 +107,7 @@ def run_extraction_bench(
     so ``repro trace-diff`` can compare bench runs across commits.
     """
     from repro.datagen import tpch
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry
     from repro.workloads import tpch_queries
 
     queries = list(queries or DEFAULT_QUERIES)
@@ -105,12 +117,6 @@ def run_extraction_bench(
     if db is None:
         db = tpch.build_database(scale=scale, seed=seed)
 
-    ledger = None
-    if ledger_path is not None:
-        from repro.obs.ledger import RunLedger
-
-        ledger = RunLedger(ledger_path)
-
     top_jobs = max(jobs_levels)
     top_latency = MetricsRegistry()  # merged across every top-jobs run
     rows = []
@@ -118,34 +124,23 @@ def run_extraction_bench(
         query = tpch_queries.QUERIES[query_name]
         runs = []
         for jobs in jobs_levels:
-            app = LatencySQLExecutable(
-                query.sql, latency=latency, name=f"bench-{query_name}"
-            )
             metrics = MetricsRegistry()
-            tracer = Tracer(metrics=metrics, keep_spans=False)
-            provenance = None
-            run_id = None
-            if ledger is not None:
-                from repro.obs.provenance import ProvenanceRecorder
-
-                run_id = ledger.begin_run(
-                    label="bench",
-                    workload="tpch",
-                    query_name=query_name,
-                    jobs=jobs,
-                )
-                provenance = ProvenanceRecorder(sink=ledger.sink(run_id))
-            started = time.perf_counter()
-            try:
-                outcome = UnmasqueExtractor(
-                    db, app, _bench_config(jobs), tracer=tracer, provenance=provenance
-                ).extract()
-            except BaseException as error:
-                if ledger is not None:
-                    ledger.fail_extraction(run_id, provenance, error)
-                    ledger.close()
-                raise
-            seconds = time.perf_counter() - started
+            extraction = run_extraction(
+                db,
+                LatencySQLExecutable(
+                    query.sql, latency=latency, name=f"bench-{query_name}"
+                ),
+                _bench_config(jobs),
+                # no empty-result probe: it would pay a round-trip and warm
+                # the plan cache ahead of the measured extraction
+                refuse_empty=False,
+                metrics=metrics,
+                ledger=ledger_path,
+                label="bench",
+                workload="tpch",
+                query_name=query_name,
+            )
+            outcome, seconds = extraction.outcome, extraction.seconds
             caches = outcome.caches or {}
             modules = {
                 name: {
@@ -154,11 +149,6 @@ def run_extraction_bench(
                 }
                 for name, stats in outcome.stats.modules.items()
             }
-            histogram = (
-                metrics.histogram("invocation_latency_seconds")
-                if "invocation_latency_seconds" in metrics
-                else None
-            )
             run = {
                 "jobs": jobs,
                 "seconds": round(seconds, 6),
@@ -173,14 +163,7 @@ def run_extraction_bench(
                 ),
                 "scheduler": caches.get("scheduler") or {},
                 "modules": modules,
-                "latency_percentiles": (
-                    {
-                        name: round(value, 6)
-                        for name, value in histogram.percentiles().items()
-                    }
-                    if histogram is not None and histogram.count
-                    else {}
-                ),
+                "latency_percentiles": _latency_percentiles(metrics),
             }
             workers = caches.get("workers")
             if workers:
@@ -188,8 +171,6 @@ def run_extraction_bench(
             runs.append(run)
             if jobs == top_jobs:
                 top_latency.merge(metrics)
-            if ledger is not None:
-                ledger.finish_extraction(run_id, provenance, outcome)
             if progress is not None:
                 progress(
                     f"{query_name} --jobs {jobs}: {seconds:.2f}s, "
@@ -210,20 +191,12 @@ def run_extraction_bench(
                 "runs": runs,
             }
         )
-    if ledger is not None:
-        ledger.close()
-
     top_speedups = [
         run["speedup_vs_jobs1"]
         for row in rows
         for run in row["runs"]
         if run["jobs"] == top_jobs
     ]
-    merged_histogram = (
-        top_latency.histogram("invocation_latency_seconds")
-        if "invocation_latency_seconds" in top_latency
-        else None
-    )
     payload = {
         "benchmark": "extraction-scheduler",
         "workload": "tpch",
@@ -240,14 +213,7 @@ def run_extraction_bench(
             "all_invocations_identical": all(
                 row["identical_invocations"] for row in rows
             ),
-            "invocation_latency": (
-                {
-                    name: round(value, 6)
-                    for name, value in merged_histogram.percentiles().items()
-                }
-                if merged_histogram is not None and merged_histogram.count
-                else {}
-            ),
+            "invocation_latency": _latency_percentiles(top_latency),
         },
     }
     return payload
@@ -289,11 +255,10 @@ def run_transport_overhead_bench(
             app = LatencySQLExecutable(
                 sql, latency=latency, name=f"bench-transport-{label}"
             )
-            started = time.perf_counter()
-            outcome = UnmasqueExtractor(db, app, config).extract()
-            seconds = time.perf_counter() - started
+            extraction = run_extraction(db, app, config, refuse_empty=False)
+            seconds = extraction.seconds
             best = seconds if best is None else min(best, seconds)
-            leg_sql = outcome.sql
+            leg_sql = extraction.outcome.sql
             if progress is not None:
                 progress(f"{label} run {attempt + 1}: {seconds:.2f}s")
         return best, leg_sql

@@ -15,10 +15,9 @@ from typing import Optional
 
 from repro.apps.executable import Executable, SQLExecutable
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import ExtractionOutcome, UnmasqueExtractor
+from repro.core.pipeline import ExtractionOutcome, run_extraction
 from repro.engine.database import Database
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 
 
 @dataclass
@@ -83,17 +82,16 @@ def measure_extraction(
     native_seconds = time.perf_counter() - native_started
 
     registry = MetricsRegistry()
-    tracer = Tracer(metrics=registry, keep_spans=False)
-    started = time.perf_counter()
-    outcome = UnmasqueExtractor(db, executable, config, tracer=tracer).extract()
-    total_seconds = time.perf_counter() - started
+    run = run_extraction(
+        db, executable, config, refuse_empty=False, metrics=registry
+    )
     return ExtractionMeasurement(
         name=name,
-        total_seconds=total_seconds,
-        breakdown=outcome.stats.breakdown(),
-        invocations=outcome.stats.total_invocations,
+        total_seconds=run.seconds,
+        breakdown=run.outcome.stats.breakdown(),
+        invocations=run.outcome.stats.total_invocations,
         native_seconds=native_seconds,
-        outcome=outcome,
+        outcome=run.outcome,
         metrics=registry.snapshot(),
     )
 

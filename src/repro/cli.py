@@ -26,12 +26,18 @@ Commands:
   payloads) clause by clause: SQL deltas, per-module self-time and
   invocation-count regressions, cache hit-rate drift.
 
-Extraction commands accept ``--trace-out FILE`` (hierarchical span trace,
-JSONL) and ``--metrics-out FILE`` (counters/histograms snapshot, JSON);
+The extraction commands (``extract``, ``sql``, ``verify``, ``explain``,
+``chaos``) share one set of common flags, mapped to an
+:class:`ExtractionConfig` by :func:`config_from_args`, and run through one
+front door (:func:`repro.core.pipeline.run_extraction`).  They accept
+``--trace-out FILE`` (hierarchical span trace, JSONL) and
+``--metrics-out FILE`` (counters/histograms snapshot, JSON);
 without these flags no tracer is attached and extraction runs exactly as
 before.  ``--ledger FILE`` additionally persists the run — clause evidence,
 per-module breakdown, and the raw probe stream — to a durable SQLite run
-ledger (written incrementally, so killed runs keep their partial history).  ``--checkpoint-dir DIR`` enables per-module checkpoint/resume
+ledger (written incrementally, so killed runs keep their partial history;
+a full disk drops the ledger with a ``warning`` line, never the
+extraction).  ``--checkpoint-dir DIR`` enables per-module checkpoint/resume
 (``--fresh`` discards a stale checkpoint instead of resuming from it);
 ``--best-effort`` downgrades non-essential module failures (order by, limit,
 disjunctions, checker) to recorded degradations instead of aborting; the
@@ -67,8 +73,13 @@ from typing import Optional
 
 from repro.apps.executable import SQLExecutable
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import UnmasqueExtractor
-from repro.errors import PeerQuarantined, ReproError
+from repro.core.pipeline import run_extraction
+from repro.errors import (
+    EmptyInitialResult,
+    PeerQuarantined,
+    ReproError,
+    UnwritableOutput,
+)
 from repro.workloads import WORKLOADS, find_query, workload_modules
 from repro.workloads import build_instance as _build_database
 
@@ -426,6 +437,12 @@ def main(argv: Optional[list[str]] = None, out=sys.stdout) -> int:
         # about the hidden query.
         out.write(f"error: {error}\n")
         return 5
+    except EmptyInitialResult as error:
+        out.write(f"{error}; increase --scale or change --seed\n")
+        return 3
+    except UnwritableOutput as error:
+        out.write(f"{error}\n")
+        return 2
     except ReproError as error:
         # One line, no traceback: extraction failures are expected outcomes
         # (outside-EQC queries, checkpoint mismatches, exhausted retries).
@@ -454,55 +471,51 @@ def _dispatch(args, out) -> int:
             for query_name, query in module.QUERIES.items():
                 out.write(f"  {query_name:<18} {query.description[:70]}\n")
         return 0
+    other = {
+        "trace-report": _run_trace_report,
+        "trace-diff": _run_trace_diff,
+        "bench": _run_bench,
+        "serve": _run_serve,
+    }
+    if args.command in other:
+        return other[args.command](args, out)
+    if args.command == "explain" and args.from_ledger is not None:
+        return _explain_from_ledger(args, out)
+    sql = _hidden_sql(args, out)
+    if sql is None:
+        return 2
+    if args.command == "chaos" and args.profile in MATRIX_PROFILES:
+        return _run_matrix_chaos(args, out)
+    return {
+        "extract": _run_extraction,
+        "sql": _run_extraction,
+        "verify": _run_verify,
+        "explain": _run_explain,
+        "chaos": _run_chaos,
+    }[args.command](args, sql, out)
 
-    if args.command == "extract":
-        query = find_query(args.workload, args.query)
-        if query is None:
-            out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
-            return 2
-        return _run_extraction(args, query.sql, out)
 
+def _hidden_sql(args, out) -> Optional[str]:
+    """The SQL an extraction command hides — a workload's ``--query`` or
+    the given SQL — or None once a usage line says why there is none."""
     if args.command == "sql":
-        return _run_extraction(args, args.query_sql, out)
-
-    if args.command == "trace-report":
-        return _run_trace_report(args, out)
-
-    if args.command == "trace-diff":
-        return _run_trace_diff(args, out)
-
-    if args.command == "explain":
-        return _run_explain(args, out)
-
-    if args.command == "bench":
-        return _run_bench(args, out)
-
-    if args.command == "chaos":
-        query = find_query(args.workload, args.query)
-        if query is None:
-            out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
-            return 2
-        if args.profile in MATRIX_PROFILES:
-            return _run_matrix_chaos(args, out)
-        return _run_chaos(args, query.sql, out)
-
-    if args.command == "serve":
-        return _run_serve(args, out)
-
-    if args.command == "verify":
-        if (args.query is None) == (args.sql is None):
-            out.write("verify needs exactly one of --query or --sql\n")
-            return 2
-        sql = args.sql
-        if args.query is not None:
-            query = find_query(args.workload, args.query)
-            if query is None:
-                out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
-                return 2
-            sql = query.sql
-        return _run_verify(args, sql, out)
-
-    return 2  # pragma: no cover - argparse enforces the choices
+        return args.query_sql
+    sql = getattr(args, "sql", None)  # verify and explain take --sql too
+    if args.command in ("verify", "explain") and (
+        (args.query is None) == (sql is None)
+    ):
+        alternative = " (or --from-ledger FILE)" if args.command == "explain" else ""
+        out.write(
+            f"{args.command} needs exactly one of --query or --sql{alternative}\n"
+        )
+        return None
+    if sql is not None:
+        return sql
+    query = find_query(args.workload, args.query)
+    if query is None:
+        out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
+        return None
+    return query.sql
 
 
 def _run_trace_report(args, out) -> int:
@@ -654,56 +667,76 @@ def _run_trace_diff(args, out) -> int:
     return 0
 
 
-def _ledger_open(args, label: str, query_name: str = ""):
-    """``(ledger, run_id, provenance)`` when ``--ledger`` was given, else
-    ``(None, None, None)``.  The recorder streams to the ledger as modules
-    flush, so a killed run keeps its partial evidence history."""
-    path = getattr(args, "ledger", None)
-    if path is None:
-        return None, None, None
-    from repro.obs.ledger import RunLedger
-    from repro.obs.provenance import ProvenanceRecorder
-
-    ledger = RunLedger(path)
-    run_id = ledger.begin_run(
-        label=label,
-        workload=getattr(args, "workload", "") or "",
-        query_name=query_name,
-        jobs=getattr(args, "jobs", 1),
-    )
-    return ledger, run_id, ProvenanceRecorder(sink=ledger.sink(run_id))
-
-
-def _budget_kwargs(args) -> dict:
-    return {
+def config_from_args(args, **overrides) -> ExtractionConfig:
+    """The :class:`ExtractionConfig` an extraction command's common flags
+    describe, with a command's own ``overrides`` on top."""
+    fields = {
+        "extract_having": args.having,
+        "extract_disjunctions": args.disjunctions,
+        "run_checker": not args.no_checker,
+        "fail_fast": not args.best_effort,
         "budget_invocations": args.budget_invocations,
         "budget_rows_scanned": args.budget_rows_scanned,
         "budget_cells": args.budget_cells,
         "budget_seconds": args.budget_seconds,
-    }
-
-
-def _scheduler_kwargs(args) -> dict:
-    return {
+        "isolate": args.isolate,
+        "worker_memory_limit_mb": args.worker_memory_mb,
         "jobs": args.jobs,
         "plan_cache_size": args.plan_cache_size,
         "invocation_cache": not args.no_invocation_cache,
     }
-
-
-def _isolation_kwargs(args) -> dict:
-    kwargs = {
-        "isolate": args.isolate,
-        "worker_memory_limit_mb": args.worker_memory_mb,
-    }
     if args.worker_timeout is not None:
-        kwargs["worker_default_timeout"] = args.worker_timeout
-    peers = getattr(args, "worker_peers", None)
-    if peers:
-        kwargs["worker_peers"] = tuple(
-            peer.strip() for peer in peers.split(",") if peer.strip()
+        fields["worker_default_timeout"] = args.worker_timeout
+    if args.worker_peers:
+        fields["worker_peers"] = tuple(
+            peer.strip() for peer in args.worker_peers.split(",") if peer.strip()
         )
-    return kwargs
+    fields.update(overrides)
+    return ExtractionConfig(**fields)
+
+
+def _records(args, out, pad: int) -> dict:
+    """The front-door arguments an extraction command's flags give: its
+    checkpoint, trace, metrics and ledger outputs, and the warning line a
+    dropped ledger prints (``pad`` aligns it with the command's labels)."""
+    return {
+        "checkpoint_dir": args.checkpoint_dir,
+        "trace_out": args.trace_out,
+        "metrics_out": args.metrics_out,
+        "ledger": args.ledger,
+        "label": args.command,
+        "workload": args.workload,
+        "query_name": getattr(args, "query", None) or "",
+        "on_ledger_error": lambda error: out.write(
+            f"{'warning':<{pad}}: ledger dropped, run not recorded: {error}\n"
+        ),
+    }
+
+
+def _write_records(args, run, out, pad: int, ledger=True, files=True) -> None:
+    """The lines naming where a run's ledger row, trace and metrics went."""
+    if ledger and run.ledger_run is not None:
+        out.write(f"{'ledger':<{pad}}: run {run.ledger_run} -> {args.ledger}\n")
+    if files and args.trace_out:
+        out.write(
+            f"{'trace':<{pad}}: {len(run.tracer.spans)} spans -> "
+            f"{args.trace_out}\n"
+        )
+    if files and args.metrics_out:
+        out.write(f"{'metrics':<{pad}}: -> {args.metrics_out}\n")
+
+
+def _run_command(args, sql: str, out, name: str, config, pad: int, **kwargs):
+    """One extraction of ``sql`` on the command's instance, through the
+    front door (:func:`~repro.core.pipeline.run_extraction`)."""
+    return run_extraction(
+        _build_database(args.workload, args.scale, args.seed),
+        SQLExecutable(sql, obfuscate_text=True, name=name),
+        config,
+        before_extract=lambda run_id: _clear_checkpoint_if_fresh(args, out),
+        **_records(args, out, pad),
+        **kwargs,
+    )
 
 
 def _clear_checkpoint_if_fresh(args, out) -> None:
@@ -717,64 +750,9 @@ def _clear_checkpoint_if_fresh(args, out) -> None:
 
 
 def _run_extraction(args, sql: str, out) -> int:
-    db = _build_database(args.workload, args.scale, args.seed)
-    app = SQLExecutable(sql, obfuscate_text=True, name="cli-app")
-    if app.run(db).is_effectively_empty:
-        out.write(
-            "the hidden query has an empty result on this instance; "
-            "increase --scale or change --seed\n"
-        )
-        return 3
-    _clear_checkpoint_if_fresh(args, out)
-    config = ExtractionConfig(
-        extract_having=args.having,
-        extract_disjunctions=args.disjunctions,
-        run_checker=not args.no_checker,
-        fail_fast=not args.best_effort,
-        **_budget_kwargs(args),
-        **_isolation_kwargs(args),
-        **_scheduler_kwargs(args),
-    )
-    tracer = None
-    metrics = None
-    if args.trace_out or args.metrics_out:
-        from repro.obs import MetricsRegistry, Tracer
-
-        # Fail on unwritable output paths now, not after a long extraction.
-        for path in (args.trace_out, args.metrics_out):
-            if path is None:
-                continue
-            try:
-                with open(path, "a", encoding="utf-8"):
-                    pass
-            except OSError as error:
-                out.write(f"cannot write {path}: {error}\n")
-                return 2
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics=metrics, keep_spans=args.trace_out is not None)
-    ledger, run_id, provenance = _ledger_open(
-        args, args.command, query_name=getattr(args, "query", "") or ""
-    )
-    try:
-        outcome = UnmasqueExtractor(
-            db, app, config, tracer=tracer,
-            checkpoint_dir=args.checkpoint_dir, provenance=provenance,
-        ).extract()
-    except BaseException as error:
-        if ledger is not None:
-            ledger.fail_extraction(run_id, provenance, error)
-            ledger.close()
-        raise
-    if ledger is not None:
-        ledger.finish_extraction(run_id, provenance, outcome)
-        ledger.close()
-        out.write(f"ledger      : run {run_id} -> {args.ledger}\n")
-    if args.trace_out:
-        tracer.write_jsonl(args.trace_out)
-        out.write(f"trace       : {len(tracer.spans)} spans -> {args.trace_out}\n")
-    if args.metrics_out:
-        metrics.write_json(args.metrics_out)
-        out.write(f"metrics     : -> {args.metrics_out}\n")
+    run = _run_command(args, sql, out, "cli-app", config_from_args(args), 12)
+    _write_records(args, run, out, 12)
+    outcome = run.outcome
     out.write(f"{outcome.sql}\n\n")
     if args.report:
         out.write(outcome.describe() + "\n\n")
@@ -816,20 +794,8 @@ def _run_verify(args, sql: str, out) -> int:
     4 = out_of_class, 6 = ``--certify`` found an unresolved counterexample,
     1 = the run itself failed, 3 = empty initial result.
     """
-    db = _build_database(args.workload, args.scale, args.seed)
-    app = SQLExecutable(sql, obfuscate_text=True, name="verify-app")
-    if app.run(db).is_effectively_empty:
-        out.write(
-            "the hidden query has an empty result on this instance; "
-            "increase --scale or change --seed\n"
-        )
-        return 3
-    _clear_checkpoint_if_fresh(args, out)
-    config = ExtractionConfig(
-        extract_having=args.having,
-        extract_disjunctions=args.disjunctions,
-        run_checker=not args.no_checker,
-        fail_fast=not args.best_effort,
+    config = config_from_args(
+        args,
         eqc_guard=True,
         out_of_class_action="verdict",
         # keep the checker's report flowing into the post-flight guard
@@ -839,54 +805,10 @@ def _run_verify(args, sql: str, out) -> int:
         certify_rows=args.certify_rows,
         certify_databases=args.certify_databases,
         certify_rounds=args.certify_rounds,
-        **_budget_kwargs(args),
-        **_isolation_kwargs(args),
-        **_scheduler_kwargs(args),
     )
-    tracer = None
-    metrics = None
-    if args.trace_out or args.metrics_out:
-        from repro.obs import MetricsRegistry, Tracer
-
-        # Fail on unwritable output paths now, not after a long extraction.
-        for path in (args.trace_out, args.metrics_out):
-            if path is None:
-                continue
-            try:
-                with open(path, "a", encoding="utf-8"):
-                    pass
-            except OSError as error:
-                out.write(f"cannot write {path}: {error}\n")
-                return 2
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics=metrics, keep_spans=args.trace_out is not None)
-    ledger, run_id, provenance = _ledger_open(
-        args, "verify", query_name=args.query or ""
-    )
-    try:
-        extractor = UnmasqueExtractor(
-            db, app, config, tracer=tracer,
-            checkpoint_dir=args.checkpoint_dir, provenance=provenance,
-        )
-        if args.certify:
-            outcome = extractor.extract_certified()
-        else:
-            outcome = extractor.extract()
-    except BaseException as error:
-        if ledger is not None:
-            ledger.fail_extraction(run_id, provenance, error)
-            ledger.close()
-        raise
-    if ledger is not None:
-        ledger.finish_extraction(run_id, provenance, outcome)
-        ledger.close()
-        out.write(f"ledger      : run {run_id} -> {args.ledger}\n")
-    if args.trace_out:
-        tracer.write_jsonl(args.trace_out)
-        out.write(f"trace       : {len(tracer.spans)} spans -> {args.trace_out}\n")
-    if args.metrics_out:
-        metrics.write_json(args.metrics_out)
-        out.write(f"metrics     : -> {args.metrics_out}\n")
+    run = _run_command(args, sql, out, "verify-app", config, 12)
+    _write_records(args, run, out, 12)
+    outcome = run.outcome
     out.write(f"verdict     : {outcome.verdict}\n")
     if outcome.eqc is not None:
         out.write(outcome.eqc.describe() + "\n")
@@ -919,80 +841,33 @@ def _report_certify(args, certify: dict, out) -> int:
     return 0
 
 
-def _run_explain(args, out) -> int:
+def _run_explain(args, sql: str, out) -> int:
     """``repro explain``: every clause of ``Q_E`` with its evidence chain.
 
     Two modes: run a fresh extraction with the provenance recorder attached
     (``--query``/``--sql``), or re-render the stored clause table from a
-    ``--from-ledger`` file without executing anything.
+    ``--from-ledger`` file without executing anything
+    (:func:`_explain_from_ledger`).
     """
     from repro.obs.provenance import (
-        ProvenanceRecorder,
         clause_evidence,
         eqc_clause_confidence,
         render_explain,
     )
 
-    if args.from_ledger is not None:
-        return _explain_from_ledger(args, out)
-    if (args.query is None) == (args.sql is None):
-        out.write(
-            "explain needs exactly one of --query or --sql "
-            "(or --from-ledger FILE)\n"
-        )
-        return 2
-    sql = args.sql
-    if args.query is not None:
-        query = find_query(args.workload, args.query)
-        if query is None:
-            out.write(f"unknown query {args.query!r}; try `repro workloads`\n")
-            return 2
-        sql = query.sql
-
-    db = _build_database(args.workload, args.scale, args.seed)
-    app = SQLExecutable(sql, obfuscate_text=True, name="explain-app")
-    if app.run(db).is_effectively_empty:
-        out.write(
-            "the hidden query has an empty result on this instance; "
-            "increase --scale or change --seed\n"
-        )
-        return 3
-    _clear_checkpoint_if_fresh(args, out)
-    config = ExtractionConfig(
-        extract_having=args.having,
-        extract_disjunctions=args.disjunctions,
-        run_checker=not args.no_checker,
-        fail_fast=not args.best_effort,
-        **_budget_kwargs(args),
-        **_isolation_kwargs(args),
-        **_scheduler_kwargs(args),
+    run = _run_command(
+        args, sql, out, "explain-app", config_from_args(args), 0,
+        provenance=True,
     )
-    ledger, run_id, provenance = _ledger_open(
-        args, "explain", query_name=args.query or ""
-    )
-    if provenance is None:
-        provenance = ProvenanceRecorder()
-    try:
-        outcome = UnmasqueExtractor(
-            db, app, config,
-            checkpoint_dir=args.checkpoint_dir, provenance=provenance,
-        ).extract()
-    except BaseException as error:
-        if ledger is not None:
-            ledger.fail_extraction(run_id, provenance, error)
-            ledger.close()
-        raise
-    if ledger is not None:
-        ledger.finish_extraction(run_id, provenance, outcome)
-        ledger.close()
-        out.write(f"ledger: run {run_id} -> {args.ledger}\n")
+    _write_records(args, run, out, 0)
+    outcome = run.outcome
     if outcome.query is None:
         out.write(f"verdict: {outcome.verdict}\n")
         out.write("no SQL emitted: nothing to explain\n")
         return 4 if outcome.verdict == "out_of_class" else 1
     rows = clause_evidence(
         outcome.query,
-        provenance.events,
+        run.provenance.events,
         clause_confidence=eqc_clause_confidence(outcome),
     )
     header = (
@@ -1005,10 +880,12 @@ def _run_explain(args, out) -> int:
             rows,
             sql=outcome.sql,
             header=header,
-            total_probes=provenance.probe_count,
+            total_probes=run.provenance.probe_count,
         )
         + "\n"
     )
+    if args.report:
+        out.write(outcome.describe() + "\n")
     return 4 if outcome.verdict == "out_of_class" else 0
 
 
@@ -1204,7 +1081,7 @@ def _run_chaos(args, sql: str, out) -> int:
     """
     import dataclasses
 
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry
     from repro.resilience.faults import (
         FAULT_PROFILES,
         HARD_FAULT_PROFILES,
@@ -1225,92 +1102,64 @@ def _run_chaos(args, sql: str, out) -> int:
 
     db = _build_database(args.workload, args.scale, args.seed)
     plan = FAULT_PROFILES[args.profile].with_seed(args.chaos_seed)
-
-    baseline_app = SQLExecutable(sql, obfuscate_text=True, name="chaos-baseline")
-    if baseline_app.run(db).is_effectively_empty:
-        out.write(
-            "the hidden query has an empty result on this instance; "
-            "increase --scale or change --seed\n"
-        )
-        return 3
-    _clear_checkpoint_if_fresh(args, out)
-    config = ExtractionConfig(
-        extract_having=args.having,
-        extract_disjunctions=args.disjunctions,
-        run_checker=not args.no_checker,
-        **_budget_kwargs(args),
-        **_scheduler_kwargs(args),
-    )
-    baseline = UnmasqueExtractor(db, baseline_app, config).extract()
+    config = config_from_args(args)
+    # the fault-free baseline runs in-process and fails fast
+    baseline = run_extraction(
+        db,
+        SQLExecutable(sql, obfuscate_text=True, name="chaos-baseline"),
+        dataclasses.replace(config, isolate="none", fail_fast=True),
+        before_extract=lambda run_id: _clear_checkpoint_if_fresh(args, out),
+    ).outcome
 
     chaos_config = dataclasses.replace(
         config,
         retry_max_attempts=args.max_attempts,
         retry_base_delay=0.0,  # chaos runs should not actually sleep
         retry_timeouts=plan.injects_timeouts,
-        fail_fast=not args.best_effort,
-        # the baseline stays in-process: isolation applies to the faulted run
-        **_isolation_kwargs(args),
     )
-    metrics = MetricsRegistry()
-    tracer = Tracer(metrics=metrics, keep_spans=False)
     faulty = FaultyExecutable(
         SQLExecutable(sql, obfuscate_text=True, name="chaos-app"),
         dataclasses.replace(plan, crash_at=args.crash_at),
     )
 
-    out.write(f"profile        : {plan.name} (chaos seed {plan.seed})\n")
-    crashed_at = None
-    # One recorder spans the crash and the resume: the ledger keeps a single
-    # evidence stream for the whole survived run, partial history included.
-    ledger, run_id, provenance = _ledger_open(
-        args, "chaos", query_name=args.query or ""
-    )
-    extractor = UnmasqueExtractor(
-        db, faulty, chaos_config, tracer=tracer,
-        checkpoint_dir=args.checkpoint_dir, provenance=provenance,
-    )
-    try:
-        outcome = extractor.extract()
-    except InjectedCrashError:
-        crashed_at = faulty.invocation_count
-        out.write(
-            f"crashed        : invocation {crashed_at} (injected); "
-            "resuming from checkpoint\n"
-        )
-        faulty = FaultyExecutable(
-            SQLExecutable(sql, obfuscate_text=True, name="chaos-app"), plan
-        )
-        extractor = UnmasqueExtractor(
-            db, faulty, chaos_config, tracer=tracer,
-            checkpoint_dir=args.checkpoint_dir, provenance=provenance,
-        )
+    def crash_and_resume(make):
+        # Both attempts share the front door's tracer and recorder, so the
+        # ledger keeps one evidence stream for the whole survived run,
+        # partial history before the crash included.
+        nonlocal faulty
         try:
-            outcome = extractor.extract()
-        except ReproError as error:
-            if ledger is not None:
-                ledger.fail_extraction(run_id, provenance, error)
-                ledger.close()
-            out.write(f"died           : {type(error).__name__}: {error}\n")
-            out.write("survived       : no\n")
-            return 1
+            return make(faulty).extract()
+        except InjectedCrashError:
+            out.write(
+                f"crashed        : invocation {faulty.invocation_count} "
+                "(injected); resuming from checkpoint\n"
+            )
+            faulty = FaultyExecutable(
+                SQLExecutable(sql, obfuscate_text=True, name="chaos-app"), plan
+            )
+            return make(faulty).extract()
+
+    out.write(f"profile        : {plan.name} (chaos seed {plan.seed})\n")
+    try:
+        run = run_extraction(
+            db, faulty, chaos_config,
+            refuse_empty=False,  # the baseline has refused an empty result
+            metrics=MetricsRegistry(),
+            drive=crash_and_resume,
+            **_records(args, out, 15),
+        )
     except ReproError as error:
-        if ledger is not None:
-            ledger.fail_extraction(run_id, provenance, error)
-            ledger.close()
         out.write(f"died           : {type(error).__name__}: {error}\n")
         out.write("survived       : no\n")
         return 1
-    if ledger is not None:
-        ledger.finish_extraction(run_id, provenance, outcome)
-        ledger.close()
-        out.write(f"ledger         : run {run_id} -> {args.ledger}\n")
+    _write_records(args, run, out, 15, files=False)
+    outcome = run.outcome
 
     injected = ", ".join(f"{k}={v}" for k, v in faulty.injected.items())
     matches = outcome.sql == baseline.sql
     survived = matches and (args.best_effort or not outcome.degradations)
     out.write(f"faults injected: {injected}\n")
-    backend = extractor.session.backend
+    backend = run.extractor.session.backend
     if backend is not None:
         pool_stats = backend.pool.stats
         out.write(
@@ -1331,9 +1180,9 @@ def _run_chaos(args, sql: str, out) -> int:
             out.write(f"degraded       : {degradation}\n")
     else:
         out.write("degradations   : (none)\n")
-    if args.metrics_out:
-        metrics.write_json(args.metrics_out)
-        out.write(f"metrics        : -> {args.metrics_out}\n")
+    if args.report:
+        out.write(outcome.describe() + "\n")
+    _write_records(args, run, out, 15, ledger=False)
     out.write(f"sql matches fault-free run : {'yes' if matches else 'no'}\n")
     if not matches:
         out.write(f"  fault-free : {baseline.sql}\n")

@@ -20,11 +20,17 @@ by one loop, which is where the fault-tolerance behaviours live —
   *non-essential* step (disjunctions, order by, limit, checker) that fails
   is recorded as a structured :class:`Degradation` on the outcome instead of
   aborting an extraction that already spent thousands of invocations.
+
+:func:`run_extraction` is the front door around the extractor: the ``repro``
+extraction commands, ``repro serve`` jobs, ``repro bench`` and the chaos
+matrices all take it for the empty-result refusal, the tracer, the ledger
+run and the one ledger-failure policy.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -51,11 +57,13 @@ from repro.core.svalues import SValueSource
 from repro.engine.database import Database
 from repro.errors import (
     BudgetExhausted,
+    EmptyInitialResult,
     ExtractionError,
     ExtractionPaused,
     ReproError,
     StorageExhausted,
     UnsupportedQueryError,
+    UnwritableOutput,
     WorkerQuarantined,
 )
 from repro.resilience.checkpoint import (
@@ -782,3 +790,189 @@ class UnmasqueExtractor:
         from repro.core import having as having_module
 
         return having_module.extract_with_having(self.session)
+
+
+# -- the front door -----------------------------------------------------------
+
+
+@dataclass
+class ExtractionRun:
+    """What :func:`run_extraction` hands back: the outcome and its records."""
+
+    outcome: ExtractionOutcome
+    #: the last extractor driven (a crash-resume drives two)
+    extractor: UnmasqueExtractor
+    #: wall-clock from building the extractor to the end of the extraction
+    seconds: float
+    tracer: object
+    provenance: object
+    #: the ledger run that was completed, or None (no ledger, or dropped)
+    ledger_run: Optional[int]
+
+
+class _LedgerRun:
+    """One run in a provenance ledger under the one ledger-failure policy.
+
+    A full disk drops the ledger, never the extraction — the rule the
+    checkpoint store already follows.  A :class:`StorageExhausted` from
+    ``begin_run``, an evidence flush or the finish closes the ledger, logs
+    a warning and tells ``on_error``; the run goes on without it.
+    """
+
+    def __init__(self, path, label, workload, query_name, jobs, on_error):
+        from repro.obs.ledger import RunLedger
+
+        self.ledger = None
+        self.run_id = None
+        self.on_error = on_error
+        try:
+            self.ledger = RunLedger(path)
+            self.run_id = self.ledger.begin_run(
+                label=label, workload=workload, query_name=query_name, jobs=jobs
+            )
+        except StorageExhausted as error:
+            self._drop(error)
+
+    def _drop(self, error: StorageExhausted) -> None:
+        logger.warning("ledger dropped; the extraction goes on: %s", error)
+        if self.ledger is not None:
+            self.ledger.close()
+            self.ledger = None
+        if self.on_error is not None:
+            self.on_error(error)
+
+    def sink(self, events) -> None:
+        if self.ledger is None:
+            return
+        try:
+            self.ledger.append_events(self.run_id, events)
+        except StorageExhausted as error:
+            self._drop(error)
+
+    def _flushed(self, provenance) -> bool:
+        """Flush pending evidence through :meth:`sink`; False once dropped."""
+        if self.ledger is not None:
+            provenance.flush()
+        return self.ledger is not None
+
+    def finish(self, provenance, outcome) -> Optional[int]:
+        if not self._flushed(provenance):
+            return None
+        try:
+            self.ledger.finish_extraction(self.run_id, provenance, outcome)
+        except StorageExhausted as error:
+            self._drop(error)
+            return None
+        self.ledger.close()
+        return self.run_id
+
+    def fail(self, provenance, error: BaseException) -> None:
+        if self._flushed(provenance):
+            self.ledger.fail_extraction(self.run_id, provenance, error)
+            self.ledger.close()
+
+
+def run_extraction(
+    db: Database,
+    app: Executable,
+    config: Optional[ExtractionConfig] = None,
+    *,
+    refuse_empty: bool = True,
+    metrics=None,
+    trace_out=None,
+    metrics_out=None,
+    ledger=None,
+    label: str = "",
+    workload: str = "",
+    query_name: str = "",
+    provenance: bool = False,
+    on_ledger_error: Optional[Callable] = None,
+    before_extract: Optional[Callable] = None,
+    drive: Optional[Callable] = None,
+    **extractor_kwargs,
+) -> ExtractionRun:
+    """Run one extraction of ``app`` on ``db``: the one path every caller
+    takes (the ``repro`` extraction commands, ``repro serve`` jobs, ``repro
+    bench`` and the chaos matrices).
+
+    1. Refuse an empty initial result with :class:`EmptyInitialResult`
+       (``refuse_empty=False`` skips it, for a caller that already knows).
+    2. Attach a tracer when ``metrics`` (a registry to collect into),
+       ``trace_out`` or ``metrics_out`` asks for one; an unwritable output
+       path raises :class:`UnwritableOutput` before any probe runs.
+    3. Open a run labelled ``label`` in the ``ledger`` file, with a
+       provenance recorder streaming to it (``provenance=True`` records
+       without a ledger); see :class:`_LedgerRun` for its failure policy.
+    4. Call ``before_extract(ledger run id or None)``.
+    5. Extract — certified when ``config.certify`` — with an extractor
+       built from ``extractor_kwargs`` (``checkpoint_dir``,
+       ``step_listener``, ``pause_check``).  ``drive(make)`` replaces this
+       step: ``make(executable)`` builds such an extractor and ``drive``
+       returns the outcome, so a crash-resume can drive two.
+    6. Finish the ledger run (or fail it, re-raising the error), then write
+       ``trace_out`` and ``metrics_out``.
+    """
+    config = config or ExtractionConfig()
+    if refuse_empty and app.run(db).is_effectively_empty:
+        raise EmptyInitialResult(
+            "the hidden query has an empty result on this instance"
+        )
+    tracer = None
+    if metrics is not None or trace_out or metrics_out:
+        from repro.obs import MetricsRegistry, Tracer
+
+        for path in (trace_out, metrics_out):
+            if path is None:
+                continue
+            try:
+                with open(path, "a", encoding="utf-8"):
+                    pass
+            except OSError as error:
+                raise UnwritableOutput(f"cannot write {path}: {error}") from error
+        if metrics is None:
+            metrics = MetricsRegistry()
+        tracer = Tracer(metrics=metrics, keep_spans=trace_out is not None)
+    book = recorder = None
+    if ledger is not None:
+        book = _LedgerRun(
+            ledger, label, workload, query_name, config.jobs, on_ledger_error
+        )
+    if provenance or (book is not None and book.ledger is not None):
+        from repro.obs.provenance import ProvenanceRecorder
+
+        recorder = ProvenanceRecorder(sink=book.sink if book else None)
+
+    extractors: list[UnmasqueExtractor] = []
+
+    def make(executable: Executable) -> UnmasqueExtractor:
+        extractor = UnmasqueExtractor(
+            db, executable, config,
+            tracer=tracer, provenance=recorder, **extractor_kwargs,
+        )
+        extractors.append(extractor)
+        return extractor
+
+    def extract(make) -> ExtractionOutcome:
+        extractor = make(app)
+        if config.certify:
+            return extractor.extract_certified()
+        return extractor.extract()
+
+    try:
+        if before_extract is not None:
+            before_extract(book.run_id if book else None)
+        started = time.perf_counter()
+        outcome = (drive or extract)(make)
+    except BaseException as error:
+        if book is not None:
+            book.fail(recorder, error)
+        raise
+    seconds = time.perf_counter() - started
+    ledger_run = book.finish(recorder, outcome) if book is not None else None
+    if trace_out:
+        tracer.write_jsonl(trace_out)
+    if metrics_out:
+        metrics.write_json(metrics_out)
+    return ExtractionRun(
+        outcome, extractors[-1], seconds, tracer, recorder, ledger_run
+    )

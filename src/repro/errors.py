@@ -185,6 +185,22 @@ class CheckpointError(ReproError):
     """A pipeline checkpoint could not be read, or does not match this run."""
 
 
+class EmptyInitialResult(ReproError):
+    """The hidden query returns no rows on the initial instance ``D_I``.
+
+    Extraction minimizes a populated result (paper §3), so the run is
+    refused before it spends a probe; a larger scale or another seed
+    usually populates it.
+    """
+
+
+class UnwritableOutput(OSError):
+    """A requested trace or metrics file cannot be written.
+
+    Raised before the extraction runs, not after it has spent its probes.
+    """
+
+
 class StorageExhausted(ReproError):
     """A durable store ran out of disk (ENOSPC/EDQUOT) or hit an I/O error.
 

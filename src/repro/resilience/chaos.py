@@ -85,19 +85,18 @@ def extract(query, workload, scale, seed, config=None, checkpoint_store=None):
     """One inline extraction of a workload query; returns the outcome."""
     from repro.apps.executable import SQLExecutable
     from repro.core.config import ExtractionConfig
-    from repro.core.pipeline import UnmasqueExtractor
+    from repro.core.pipeline import run_extraction
     from repro.workloads import build_instance, find_query
 
     hidden = find_query(workload, query)
     if hidden is None:
         raise ValueError(f"unknown query {query!r} in workload {workload!r}")
-    app = SQLExecutable(hidden.sql, obfuscate_text=True, name="chaos")
-    return UnmasqueExtractor(
+    return run_extraction(
         build_instance(workload, scale, seed),
-        app,
+        SQLExecutable(hidden.sql, obfuscate_text=True, name="chaos"),
         config if config is not None else ExtractionConfig(fail_fast=False),
         checkpoint_dir=checkpoint_store,
-    ).extract()
+    ).outcome
 
 
 def run_matrix(

@@ -571,20 +571,10 @@ class ExtractionService:
         """Run one real extraction; the default :attr:`_runner`."""
         from repro.apps.executable import SQLExecutable
         from repro.core.config import ExtractionConfig
-        from repro.core.pipeline import UnmasqueExtractor
-        from repro.obs.trace import Tracer
+        from repro.core.pipeline import run_extraction
 
         sql = resolve_sql(request)
         db = build_instance(request.workload, request.scale, request.seed)
-        app = SQLExecutable(sql, obfuscate_text=True, name=f"serve:{job_id}")
-        if app.run(db).is_effectively_empty:
-            raise ValueError(
-                "the hidden query has an empty result on this instance; "
-                "increase scale or change seed"
-            )
-        self.governor.register(
-            job_id, estimate_footprint(db), priority=request.priority
-        )
         observer = None
         if self.governor.enabled:
             # Budget-watchdog feed: live engine cell counts refine this
@@ -620,54 +610,41 @@ class ExtractionService:
             import dataclasses
 
             config = dataclasses.replace(config, **self.extraction_overrides)
-        job_metrics = MetricsRegistry()
-        tracer = Tracer(metrics=job_metrics, keep_spans=False)
-        try:
-            ledger, run_id, provenance = self._ledger_open(job_id, request)
-        except StorageExhausted as error:
-            # No room for provenance rows: degrade to a ledger-less run
-            # rather than failing an extraction that needs no disk itself.
-            logger.warning("ledger disabled for %s: %s", job_id, error)
-            self._count("serve_storage_exhausted_total")
-            ledger, run_id, provenance = None, None, None
         extras: dict = {}
-        if run_id is not None:
-            # The provenance-ledger pointer is visible on /jobs/<id> while
-            # the job is still running, not only at completion.
-            extras["ledger_run_id"] = run_id
-            extras["ledger_path"] = self.ledger_path
-            self.journal.set_extras(job_id, extras)
+
+        def before_extract(run_id):
+            self.governor.register(
+                job_id, estimate_footprint(db), priority=request.priority
+            )
+            if run_id is not None:
+                # The provenance-ledger pointer is visible on /jobs/<id>
+                # while the job is still running, not only at completion.
+                extras["ledger_run_id"] = run_id
+                extras["ledger_path"] = self.ledger_path
+                self.journal.set_extras(job_id, extras)
+
+        job_metrics = MetricsRegistry()
         try:
-            extractor = UnmasqueExtractor(
+            outcome = run_extraction(
                 db,
-                app,
+                SQLExecutable(sql, obfuscate_text=True, name=f"serve:{job_id}"),
                 config,
-                tracer=tracer,
+                metrics=job_metrics,
+                ledger=self.ledger_path,
+                label=f"serve:{job_id}",
+                workload=request.workload,
+                query_name=request.query,
+                on_ledger_error=lambda error: self._count(
+                    "serve_storage_exhausted_total"
+                ),
+                before_extract=before_extract,
                 checkpoint_dir=self.checkpoint_root / job_id,
-                provenance=provenance,
                 step_listener=lambda module: self._on_step(job_id, module),
                 pause_check=lambda: self.pause_requested(job_id),
-            )
-            if request.certify:
-                outcome = extractor.extract_certified()
-            else:
-                outcome = extractor.extract()
-        except BaseException as error:
-            if ledger is not None:
-                ledger.fail_extraction(run_id, provenance, error)
-                ledger.close()
-            raise
+            ).outcome
         finally:
             with self._metrics_lock:
                 self.metrics.merge(job_metrics)
-        if ledger is not None:
-            try:
-                ledger.finish_extraction(run_id, provenance, outcome)
-            except StorageExhausted as error:
-                logger.warning("ledger finish dropped for %s: %s", job_id, error)
-                self._count("serve_storage_exhausted_total")
-            finally:
-                ledger.close()
         result = {
             "sql": outcome.sql if outcome.query is not None else "",
             "verdict": outcome.verdict,
@@ -680,24 +657,6 @@ class ExtractionService:
             # the journal and the /jobs/<id> view, not just this dict
             extras["certify"] = outcome.certify
         return result
-
-    # -- per-job provenance ledger -------------------------------------------
-
-    def _ledger_open(self, job_id: str, request: JobRequest):
-        """Per-job ledger connection (same file, own connection per thread)."""
-        if self.ledger_path is None:
-            return None, None, None
-        from repro.obs.ledger import RunLedger
-        from repro.obs.provenance import ProvenanceRecorder
-
-        ledger = RunLedger(self.ledger_path)
-        run_id = ledger.begin_run(
-            label=f"serve:{job_id}",
-            workload=request.workload,
-            query_name=request.query,
-            jobs=request.jobs,
-        )
-        return ledger, run_id, ProvenanceRecorder(sink=ledger.sink(run_id))
 
     # -- internals -----------------------------------------------------------
 
