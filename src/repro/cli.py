@@ -73,7 +73,7 @@ from typing import Optional
 
 from repro.apps.executable import SQLExecutable
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import run_extraction
+from repro.core.pipeline import check_writable, run_extraction
 from repro.errors import (
     EmptyInitialResult,
     PeerQuarantined,
@@ -1100,6 +1100,8 @@ def _run_chaos(args, sql: str, out) -> int:
         )
         return 2
 
+    # the faulted run writes the outputs; refuse them before the baseline
+    check_writable(args.trace_out, args.metrics_out)
     db = _build_database(args.workload, args.scale, args.seed)
     plan = FAULT_PROFILES[args.profile].with_seed(args.chaos_seed)
     config = config_from_args(args)

@@ -24,7 +24,13 @@ enabled with ``ExtractionConfig(extract_disjunctions=True)``:
 
 from __future__ import annotations
 
-from repro.core.filters import _Axis, _numeric_probe, _text_probe
+from repro.core.filters import (
+    _Axis,
+    _numeric_probe,
+    _text_probe,
+    first_populated,
+    last_populated,
+)
 from repro.core.model import (
     Filter,
     InListFilter,
@@ -216,7 +222,11 @@ def _witnessed_intervals(
         if value is not None:
             seeds.add(axis.to_axis(value))
     ordered = sorted(s for s in seeds if axis.lo <= s <= axis.hi)
-    verdict = {s: _numeric_probe(session, column, axis, s) for s in ordered}
+
+    def probe(axis_value: int) -> bool:
+        return _numeric_probe(session, column, axis, axis_value)
+
+    verdict = {s: probe(s) for s in ordered}
 
     intervals: list[tuple[int, int]] = []
     failing = [s for s in ordered if not verdict[s]]
@@ -225,57 +235,14 @@ def _witnessed_intervals(
             continue
         if intervals and seed <= intervals[-1][1]:
             continue
+        # Each bisection lands on an edge of *some* qualifying interval;
+        # with several intervals in between, later seeds cover the rest.
         below = [f for f in failing if f < seed]
-        if below:
-            lo_edge = _bisect_edge(session, column, axis, seed, max(below), "down")
-        else:
-            lo_edge = axis.lo
+        lo_edge = first_populated(max(below) + 1, seed, probe) if below else axis.lo
         above = [f for f in failing if f > seed]
-        if above:
-            hi_edge = _bisect_edge(session, column, axis, seed, min(above), "up")
-        else:
-            hi_edge = axis.hi
+        hi_edge = last_populated(seed, min(above) - 1, probe) if above else axis.hi
         intervals.append((lo_edge, hi_edge))
     return _merge(intervals)
-
-
-def _bisect_edge(
-    session: ExtractionSession,
-    column: ColumnNode,
-    axis: _Axis,
-    qualifying: int,
-    failing: int,
-    direction: str,
-) -> int:
-    """Boundary between a qualifying point and a failing point.
-
-    ``direction='up'`` walks from ``qualifying`` toward a larger ``failing``
-    (returns the interval's upper edge); ``'down'`` is the mirror image.
-    The invariant-preserving bisection lands on an edge of *some* qualifying
-    interval — with multiple intervals in between, later seed passes cover
-    the remainder.
-    """
-    if direction == "up":
-        lo, hi = qualifying, failing - 1
-        if lo >= hi:
-            return lo
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _numeric_probe(session, column, axis, mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-    lo, hi = failing + 1, qualifying
-    if lo >= hi:
-        return hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _numeric_probe(session, column, axis, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _merge(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:

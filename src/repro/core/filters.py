@@ -29,6 +29,7 @@ column.
 from __future__ import annotations
 
 import datetime
+from typing import Callable
 
 from repro.core.grouptest import CLEARED, Screen, group_test, own_probes
 from repro.core.model import Filter, NumericFilter, TextFilter
@@ -315,11 +316,15 @@ def _check_numeric(
         return None  # Table 2, Case 1
 
     anchor = axis.to_axis(session.d1_value(column))
+
+    def probe(axis_value: int) -> bool:
+        return _numeric_probe(session, column, axis, axis_value)
+
     lo_axis, hi_axis = axis.lo, axis.hi
     if not populated_min:  # Cases 2 and 4: find l over (i_min, a]
-        lo_axis = _search_lower_bound(session, column, axis, anchor)
+        lo_axis = first_populated(axis.lo + 1, anchor, probe)
     if not populated_max:  # Cases 3 and 4: find r over [a, i_max)
-        hi_axis = _search_upper_bound(session, column, axis, anchor)
+        hi_axis = last_populated(anchor, axis.hi - 1, probe)
     return NumericFilter(
         column=column,
         lo=axis.from_axis(lo_axis),
@@ -338,28 +343,29 @@ def _numeric_probe(
     return not result.is_effectively_empty
 
 
-def _search_lower_bound(
-    session: ExtractionSession, column: ColumnNode, axis: _Axis, anchor: int
-) -> int:
-    """Smallest axis value whose probe is populated; probe(anchor) is True."""
-    lo, hi = axis.lo + 1, anchor
+def first_populated(lo: int, hi: int, probe: Callable[[int], bool]) -> int:
+    """Smallest ``x`` in ``[lo, hi]`` with ``probe(x)`` True.
+
+    ``probe`` must be monotone (False up to some point, True from there on)
+    and ``probe(hi)`` known True, so ``hi`` itself is never probed.  Every
+    bound search of the extractor uses this helper or its mirror
+    :func:`last_populated`.
+    """
     while lo < hi:
         mid = (lo + hi) // 2
-        if _numeric_probe(session, column, axis, mid):
+        if probe(mid):
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
-def _search_upper_bound(
-    session: ExtractionSession, column: ColumnNode, axis: _Axis, anchor: int
-) -> int:
-    """Largest axis value whose probe is populated; probe(anchor) is True."""
-    lo, hi = anchor, axis.hi - 1
+def last_populated(lo: int, hi: int, probe: Callable[[int], bool]) -> int:
+    """Largest ``x`` in ``[lo, hi]`` with ``probe(x)`` True; the mirror of
+    :func:`first_populated`, with ``probe(lo)`` known True."""
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _numeric_probe(session, column, axis, mid):
+        if probe(mid):
             lo = mid
         else:
             hi = mid - 1

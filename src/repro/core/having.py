@@ -1,12 +1,18 @@
 """HAVING-clause extraction — the restructured pipeline of paper §7.
 
 The paper sketches the approach and defers details to its technical report;
-this module implements the reconstruction documented in DESIGN.md §5:
+this module implements the reconstruction documented in DESIGN.md §5.  It is
+not a driver: with ``config.extract_having`` set, ``UnmasqueExtractor._steps``
+in :mod:`repro.core.pipeline` returns the §7 step list, and the one step loop
+runs it with checkpoint/resume, best-effort degradation, budgets and
+verdicts as for Figure 3.  This module supplies the steps that list adds:
 
 1. **From clause** as usual, then **multi-row minimization** (Lemma 1 fails
    under HAVING — a group may need several rows to satisfy a count/sum
    bound), then **join extraction** (whole-column negation works unchanged on
-   a multi-row ``D_min``).
+   a multi-row ``D_min``).  ``D_min`` is the session's resident state
+   (``session.d_min``) until the ``having_count`` step installs the template
+   ``D^1``.
 2. **Unified bound extraction** — a filter ``a <= A <= b`` is semantically a
    ``min(A) >= a ∧ max(A) <= b`` HAVING pair, so both families are found with
    one set of probes.  Setting *every* row of column ``A`` to a common value
@@ -41,26 +47,16 @@ sum-aggregated projections cannot be combined with a count-HAVING bound
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core import (
-    aggregates,
-    checker,
-    filters as filters_module,
-    from_clause,
-    groupby,
-    joins,
-    limit as limit_module,
-    minimizer,
-    orderby,
-    projections,
+from repro.core.filters import (
+    _Axis,
+    _check_textual,
+    first_populated,
+    last_populated,
 )
-from repro.core.filters import _Axis, _check_textual
 from repro.core.model import HavingPredicate, NumericFilter
 from repro.core.session import ExtractionSession
-from repro.core.svalues import SValueSource
 from repro.errors import ExtractionError, UnsupportedQueryError
 from repro.sgraph.schema_graph import ColumnNode
 
@@ -78,53 +74,21 @@ class _Bound:
     constant: object = None  # resolved SQL-space constant
 
 
-def extract_with_having(session: ExtractionSession):
-    """Run the §7 pipeline; returns an ExtractionOutcome."""
-    from repro.core.pipeline import ExtractionOutcome
-
-    limit_module.capture_initial_result(session)
-    if session.initial_result.is_effectively_empty:
-        raise ExtractionError(
-            "the application's result on D_I is empty; extraction requires a "
-            "populated initial result (paper §3)"
-        )
-
-    from_clause.extract_tables(session)
-    minimizer.minimize_multirow(session)
-    joins.extract_joins(session)
-
+def extract_bounds(session: ExtractionSession) -> None:
+    """The ``having_bounds`` step: unified bounds on the multi-row ``D_min``."""
     with session.module("having_bounds"):
         bounds = _extract_unified_bounds(session)
         _classify_families(session, bounds)
         _install_bounds(session, bounds)
         _record_bound_clauses(session)
 
+
+def extract_count_bound(session: ExtractionSession) -> None:
+    """The ``having_count`` step: install the template ``D^1`` (it replaces
+    ``D_min`` as the resident state) and find a count(*) lower bound."""
     with session.module("having_count"):
-        _install_template_d1(session, bounds)
+        _install_template_d1(session)
         _detect_count_bounds(session)
-
-    with session.module("filters"):
-        _extract_text_filters(session)
-
-    svalues = SValueSource(session)
-    projections.extract_projections(session, svalues)
-    groupby.extract_group_by(session, svalues)
-    aggregates.extract_aggregations(session, svalues)
-    if session.probe_multiplier > 1:
-        _reject_sum_outputs(session)
-    orderby.extract_order_by(session, svalues)
-    limit_module.extract_limit(session, svalues)
-
-    report = None
-    if session.config.run_checker:
-        report = checker.verify_extraction(session, svalues)
-
-    return ExtractionOutcome(
-        query=session.query,
-        sql=session.query.sql,
-        stats=session.stats,
-        checker_report=report,
-    )
 
 
 def _record_bound_clauses(session: ExtractionSession) -> None:
@@ -189,14 +153,17 @@ def _extract_unified_bounds(session: ExtractionSession) -> list[_Bound]:
     bounds: list[_Bound] = []
     for column in _numeric_candidates(session):
         axis = _Axis(session, column)
+
+        def probe(axis_value: int) -> bool:
+            return _set_all_probe(session, column, axis.from_axis(axis_value))
+
         anchor = _current_axis_anchor(session, column, axis)
-        lo_ok = _set_all_probe(session, column, axis.from_axis(axis.lo))
-        hi_ok = _set_all_probe(session, column, axis.from_axis(axis.hi))
+        lo_ok, hi_ok = probe(axis.lo), probe(axis.hi)
         if not lo_ok:
-            flip = _bisect_lower(session, column, axis, anchor)
+            flip = first_populated(axis.lo + 1, anchor, probe)
             bounds.append(_Bound(column=column, side="lower", axis_value=flip))
         if not hi_ok:
-            flip = _bisect_upper(session, column, axis, anchor)
+            flip = last_populated(anchor, axis.hi - 1, probe)
             bounds.append(_Bound(column=column, side="upper", axis_value=flip))
     return bounds
 
@@ -222,28 +189,6 @@ def _current_axis_anchor(session, column: ColumnNode, axis: _Axis) -> int:
         f"no all-equal qualifying value found for {column}; the HAVING window "
         "is narrower than this pipeline's probes support"
     )
-
-
-def _bisect_lower(session, column, axis: _Axis, anchor: int) -> int:
-    lo, hi = axis.lo + 1, anchor
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _set_all_probe(session, column, axis.from_axis(mid)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _bisect_upper(session, column, axis: _Axis, anchor: int) -> int:
-    lo, hi = anchor, axis.hi - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _set_all_probe(session, column, axis.from_axis(mid)):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 # --- family classification ------------------------------------------------------
@@ -334,26 +279,10 @@ def _resolve_sum_constant(session, bound: _Bound, axis: _Axis):
         return not session.run_on({table: fixed + [last]}).is_effectively_empty
 
     if bound.side == "lower":
-        lo, hi = axis.lo + 1, pivot_axis
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if probe(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        w_star = lo
-        total_axis = pivot_axis * (n - 1) + w_star
+        w_star = first_populated(axis.lo + 1, pivot_axis, probe)
     else:
-        lo, hi = pivot_axis, axis.hi - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if probe(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        w_star = lo
-        total_axis = pivot_axis * (n - 1) + w_star
-    return axis.from_axis(total_axis)
+        w_star = last_populated(pivot_axis, axis.hi - 1, probe)
+    return axis.from_axis(pivot_axis * (n - 1) + w_star)
 
 
 def _classify_invariant_family(session, bound: _Bound, axis: _Axis) -> str:
@@ -411,73 +340,9 @@ def _install_bounds(session: ExtractionSession, bounds: list[_Bound]) -> None:
         upper = sides.get("upper")
         families = {b.family for b in sides.values()}
 
-        if families <= {"filter", "min", "max"}:
-            filter_like = all(b.family == "filter" for b in sides.values())
-            lo = lower.constant if lower else domain_lo
-            hi = upper.constant if upper else domain_hi
-            if filter_like:
-                session.query.filters.append(
-                    NumericFilter(
-                        column=column,
-                        lo=lo,
-                        hi=hi,
-                        domain_lo=domain_lo,
-                        domain_hi=domain_hi,
-                    )
-                )
-            else:
-                if lower and lower.family == "min":
-                    session.query.having.append(
-                        HavingPredicate(
-                            aggregate="min",
-                            column=column,
-                            lo=lower.constant,
-                            hi=None,
-                            domain_lo=domain_lo,
-                            domain_hi=domain_hi,
-                        )
-                    )
-                if upper and upper.family == "max":
-                    session.query.having.append(
-                        HavingPredicate(
-                            aggregate="max",
-                            column=column,
-                            lo=None,
-                            hi=upper.constant,
-                            domain_lo=domain_lo,
-                            domain_hi=domain_hi,
-                        )
-                    )
-                # a filter-family side alongside a min/max side
-                if lower and lower.family == "filter":
-                    session.query.filters.append(
-                        NumericFilter(
-                            column=column,
-                            lo=lower.constant,
-                            hi=domain_hi,
-                            domain_lo=domain_lo,
-                            domain_hi=domain_hi,
-                        )
-                    )
-                if upper and upper.family == "filter":
-                    session.query.filters.append(
-                        NumericFilter(
-                            column=column,
-                            lo=domain_lo,
-                            hi=upper.constant,
-                            domain_lo=domain_lo,
-                            domain_hi=domain_hi,
-                        )
-                    )
-            session.svalue_guards[column] = (lo, hi)
-            continue
-
-        if "avg" in families:
-            lo = lower.constant if lower and lower.family == "avg" else None
-            hi = upper.constant if upper and upper.family == "avg" else None
-            session.query.having.append(
-                HavingPredicate(
-                    aggregate="avg",
+        def add_filter(lo, hi):
+            session.query.filters.append(
+                NumericFilter(
                     column=column,
                     lo=lo,
                     hi=hi,
@@ -485,6 +350,41 @@ def _install_bounds(session: ExtractionSession, bounds: list[_Bound]) -> None:
                     domain_hi=domain_hi,
                 )
             )
+
+        def add_having(aggregate, lo=None, hi=None):
+            session.query.having.append(
+                HavingPredicate(
+                    aggregate=aggregate,
+                    column=column,
+                    lo=lo,
+                    hi=hi,
+                    domain_lo=domain_lo,
+                    domain_hi=domain_hi,
+                )
+            )
+
+        if families <= {"filter", "min", "max"}:
+            lo = lower.constant if lower else domain_lo
+            hi = upper.constant if upper else domain_hi
+            if families == {"filter"}:
+                add_filter(lo, hi)
+            else:
+                if lower and lower.family == "min":
+                    add_having("min", lo=lower.constant)
+                if upper and upper.family == "max":
+                    add_having("max", hi=upper.constant)
+                # a filter-family side alongside a min/max side
+                if lower and lower.family == "filter":
+                    add_filter(lower.constant, domain_hi)
+                if upper and upper.family == "filter":
+                    add_filter(domain_lo, upper.constant)
+            session.svalue_guards[column] = (lo, hi)
+            continue
+
+        if "avg" in families:
+            lo = lower.constant if lower and lower.family == "avg" else None
+            hi = upper.constant if upper and upper.family == "avg" else None
+            add_having("avg", lo=lo, hi=hi)
             # a non-avg side on the same column keeps its own rendering
             for side_bound in (lower, upper):
                 if side_bound is None or side_bound.family == "avg":
@@ -494,15 +394,10 @@ def _install_bounds(session: ExtractionSession, bounds: list[_Bound]) -> None:
                         f"mixed {side_bound.family}/avg bounds on {column} are "
                         "outside the supported class"
                     )
-                session.query.filters.append(
-                    NumericFilter(
-                        column=column,
-                        lo=side_bound.constant if side_bound.side == "lower" else domain_lo,
-                        hi=side_bound.constant if side_bound.side == "upper" else domain_hi,
-                        domain_lo=domain_lo,
-                        domain_hi=domain_hi,
-                    )
-                )
+                if side_bound.side == "lower":
+                    add_filter(side_bound.constant, domain_hi)
+                else:
+                    add_filter(domain_lo, side_bound.constant)
             guard_lo = lo if lo is not None else domain_lo
             guard_hi = hi if hi is not None else domain_hi
             if lower and lower.family == "filter":
@@ -519,29 +414,11 @@ def _install_bounds(session: ExtractionSession, bounds: list[_Bound]) -> None:
                     raise UnsupportedQueryError(
                         "sum-HAVING lower bounds require positive thresholds"
                     )
-                session.query.having.append(
-                    HavingPredicate(
-                        aggregate="sum",
-                        column=column,
-                        lo=bound.constant,
-                        hi=None,
-                        domain_lo=domain_lo,
-                        domain_hi=domain_hi,
-                    )
-                )
+                add_having("sum", lo=bound.constant)
                 # single rows at >= the threshold qualify any group size
                 session.svalue_guards[column] = (bound.constant, domain_hi)
             else:
-                session.query.having.append(
-                    HavingPredicate(
-                        aggregate="sum",
-                        column=column,
-                        lo=None,
-                        hi=bound.constant,
-                        domain_lo=domain_lo,
-                        domain_hi=domain_hi,
-                    )
-                )
+                add_having("sum", hi=bound.constant)
                 # groups in probe databases hold at most ~32 rows
                 guard_hi = _scaled_guard(session, column, bound.constant, 32)
                 session.svalue_guards[column] = (domain_lo, guard_hi)
@@ -565,7 +442,7 @@ def _scaled_guard(session, column: ColumnNode, constant, divisor: int):
 # --- template D^1 + count bounds -----------------------------------------------
 
 
-def _install_template_d1(session: ExtractionSession, bounds: list[_Bound]) -> None:
+def _install_template_d1(session: ExtractionSession) -> None:
     """Reduce D_min to a single logical row per table, mutated to qualify.
 
     Rows drawn from different tables of a multi-row ``D_min`` need not join
@@ -618,14 +495,11 @@ def _detect_count_bounds(session: ExtractionSession) -> None:
             "template database never qualifies — the HAVING class is outside "
             "this pipeline's scope"
         )
-    lo, hi = j // 2 + 1, j
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if session.run_on({table: [base_row] * mid}).is_effectively_empty:
-            lo = mid + 1
-        else:
-            hi = mid
-    count_bound = lo
+    count_bound = first_populated(
+        j // 2 + 1,
+        j,
+        lambda m: not session.run_on({table: [base_row] * m}).is_effectively_empty,
+    )
     session.probe_multiplier = count_bound
     session.multiplier_table = table
     session.set_d1(dict(session.d1))  # reinstall with the multiplier applied
@@ -667,33 +541,36 @@ def _reject_count_upper_bound(session: ExtractionSession) -> None:
 # --- remaining clause extraction ------------------------------------------------
 
 
-def _extract_text_filters(session: ExtractionSession) -> None:
-    provenance = session.provenance
-    for table in session.query.tables:
-        for column in session.nonkey_columns(table):
-            if not session.column_type(column).is_textual:
-                continue
-            predicate = _check_textual(session, column)
-            if predicate is not None:
-                session.query.filters.append(predicate)
-                if provenance.enabled:
-                    provenance.accept(
+def extract_text_filters(session: ExtractionSession) -> None:
+    """The §7 ``filters`` step: only textual columns are left to screen —
+    numeric filters were found with the bounds."""
+    with session.module("filters"):
+        provenance = session.provenance
+        for table in session.query.tables:
+            for column in session.nonkey_columns(table):
+                if not session.column_type(column).is_textual:
+                    continue
+                predicate = _check_textual(session, column)
+                if predicate is not None:
+                    session.query.filters.append(predicate)
+                    if provenance.enabled:
+                        provenance.accept(
+                            "filters",
+                            predicate.to_sql(),
+                            "filters",
+                            detail=f"column {column.table}.{column.column}",
+                            key=("filters", (column.table, column.column)),
+                        )
+                elif provenance.enabled:
+                    provenance.reject(
                         "filters",
-                        predicate.to_sql(),
+                        f"{column.table}.{column.column}",
                         "filters",
-                        detail=f"column {column.table}.{column.column}",
-                        key=("filters", (column.table, column.column)),
+                        detail="no textual predicate on this column",
                     )
-            elif provenance.enabled:
-                provenance.reject(
-                    "filters",
-                    f"{column.table}.{column.column}",
-                    "filters",
-                    detail="no textual predicate on this column",
-                )
 
 
-def _reject_sum_outputs(session: ExtractionSession) -> None:
+def reject_sum_outputs(session: ExtractionSession) -> None:
     for output in session.query.outputs:
         if output.aggregate == "sum":
             raise UnsupportedQueryError(

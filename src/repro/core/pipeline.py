@@ -6,11 +6,16 @@
     Filter predicates → Projections → Group By → Aggregations →
     Order By → Limit → Assembler + Checker
 
-With ``config.extract_having`` set, the restructured §7 pipeline runs instead
-(Group By moves ahead of the unified filter/having bound extraction).
+With ``config.extract_having`` set, the restructured §7 pipeline runs
+instead: the same modules reordered around two bound steps (see
+:mod:`repro.core.having`) —
 
-The standard pipeline is *step-driven*: each module is a named step executed
-by one loop, which is where the fault-tolerance behaviours live —
+    From clause → Multi-row minimization → Equi-join predicates →
+    HAVING/filter bounds → count(*) bound → Text filters → Projections →
+    Group By → Aggregations → Order By → Limit → Checker
+
+Both pipelines are *step lists* run by one loop, which is where the
+fault-tolerance behaviours live —
 
 * **checkpoint/resume** — with a ``checkpoint_dir``, the session state is
   serialised after every completed step; a rerun against the same directory
@@ -19,7 +24,10 @@ by one loop, which is where the fault-tolerance behaviours live —
 * **best-effort degradation** — with ``config.fail_fast`` off, a
   *non-essential* step (disjunctions, order by, limit, checker) that fails
   is recorded as a structured :class:`Degradation` on the outcome instead of
-  aborting an extraction that already spent thousands of invocations.
+  aborting an extraction that already spent thousands of invocations;
+* **budgets, quarantine and the out-of-class verdict**, the
+  ``sandbox_verify`` invariant check, and the ``step_listener`` /
+  ``pause_check`` hooks ``repro serve`` drives.
 
 :func:`run_extraction` is the front door around the extractor: the ``repro``
 extraction commands, ``repro serve`` jobs, ``repro bench`` and the chaos
@@ -44,6 +52,7 @@ from repro.core import (
     filters,
     from_clause,
     groupby,
+    having,
     joins,
     limit as limit_module,
     minimizer,
@@ -338,6 +347,12 @@ def _step_minimizer(session: ExtractionSession, ctx: _PipelineContext) -> None:
     )
 
 
+def _step_minimize_multirow(
+    session: ExtractionSession, ctx: _PipelineContext
+) -> None:
+    session.d_min = minimizer.minimize_multirow(session)
+
+
 def _step_joins(session: ExtractionSession, ctx: _PipelineContext) -> None:
     cliques = joins.extract_joins(session)
     logger.info("join cliques: %s", [c.predicates() for c in cliques])
@@ -346,6 +361,18 @@ def _step_joins(session: ExtractionSession, ctx: _PipelineContext) -> None:
 def _step_filters(session: ExtractionSession, ctx: _PipelineContext) -> None:
     predicates = filters.extract_filters(session)
     logger.info("filters: %s", [p.to_sql() for p in predicates])
+
+
+def _step_having_bounds(session: ExtractionSession, ctx: _PipelineContext) -> None:
+    having.extract_bounds(session)
+
+
+def _step_having_count(session: ExtractionSession, ctx: _PipelineContext) -> None:
+    having.extract_count_bound(session)
+
+
+def _step_text_filters(session: ExtractionSession, ctx: _PipelineContext) -> None:
+    having.extract_text_filters(session)
 
 
 def _step_disjunctions(session: ExtractionSession, ctx: _PipelineContext) -> None:
@@ -373,6 +400,8 @@ def _step_group_by(session: ExtractionSession, ctx: _PipelineContext) -> None:
 
 def _step_aggregations(session: ExtractionSession, ctx: _PipelineContext) -> None:
     aggregates.extract_aggregations(session, ctx.require_svalues(session))
+    if session.probe_multiplier > 1:
+        having.reject_sum_outputs(session)
 
 
 def _step_order_by(session: ExtractionSession, ctx: _PipelineContext) -> None:
@@ -421,9 +450,9 @@ class UnmasqueExtractor:
 
     ``checkpoint_dir`` (a path or a ready
     :class:`~repro.resilience.checkpoint.CheckpointStore`) enables
-    checkpoint/resume for the standard pipeline: progress is saved after
-    every module, an existing checkpoint is resumed from, and the file is
-    cleared on success.
+    checkpoint/resume for either pipeline: progress is saved after every
+    step, an existing checkpoint is resumed from, and the file is cleared on
+    success.
     """
 
     def __init__(
@@ -457,11 +486,6 @@ class UnmasqueExtractor:
             self.checkpoint = checkpoint_dir
         else:
             self.checkpoint = CheckpointStore(checkpoint_dir)
-        if self.checkpoint is not None and self.config.extract_having:
-            raise ExtractionError(
-                "checkpoint/resume is not supported with the §7 HAVING "
-                "pipeline (its module re-entry defeats per-module snapshots)"
-            )
 
     def extract(self) -> ExtractionOutcome:
         """Run the pipeline under a root ``pipeline`` span covering it all."""
@@ -479,11 +503,7 @@ class UnmasqueExtractor:
         session.budget.start()
         with tracer.span("extraction", kind="pipeline", tags=tags) as root:
             try:
-                outcome = (
-                    self._extract_with_having()
-                    if self.config.extract_having
-                    else self._extract()
-                )
+                outcome = self._extract()
             finally:
                 # Terminal guarantee: whatever happened — success, verdict,
                 # budget stop, or a crash unwinding through here — the silo
@@ -570,20 +590,37 @@ class UnmasqueExtractor:
                 stats["bypasses"]
             )
 
-    # -- the standard (Figure 3) pipeline ----------------------------------
+    # -- the step list -------------------------------------------------------
+
+    @property
+    def _guarded(self) -> bool:
+        """Whether the EQC guard steps run (not under the §7 pipeline)."""
+        return self.config.eqc_guard and not self.config.extract_having
 
     def _steps(self) -> list[_Step]:
+        """Figure 3's modules in order, or with ``config.extract_having`` the
+        §7 list: the same modules reordered around the bound steps."""
+        config = self.config
         steps = [_Step("setup", True, _step_setup)]
-        if self.config.eqc_guard:
+        if self._guarded:
             steps.append(_Step("eqc_preflight", False, _step_eqc_preflight))
-        steps += [
-            _Step("from_clause", True, _step_from_clause),
-            _Step("minimizer", True, _step_minimizer),
-            _Step("joins", True, _step_joins),
-            _Step("filters", True, _step_filters),
-        ]
-        if self.config.extract_disjunctions:
-            steps.append(_Step("disjunctions", False, _step_disjunctions))
+        steps.append(_Step("from_clause", True, _step_from_clause))
+        if config.extract_having:
+            steps += [
+                _Step("minimizer", True, _step_minimize_multirow),
+                _Step("joins", True, _step_joins),
+                _Step("having_bounds", True, _step_having_bounds),
+                _Step("having_count", True, _step_having_count),
+                _Step("filters", True, _step_text_filters),
+            ]
+        else:
+            steps += [
+                _Step("minimizer", True, _step_minimizer),
+                _Step("joins", True, _step_joins),
+                _Step("filters", True, _step_filters),
+            ]
+            if config.extract_disjunctions:
+                steps.append(_Step("disjunctions", False, _step_disjunctions))
         steps += [
             _Step("projections", True, _step_projections),
             _Step("group_by", True, _step_group_by),
@@ -591,9 +628,9 @@ class UnmasqueExtractor:
             _Step("order_by", False, _step_order_by),
             _Step("limit", False, _step_limit),
         ]
-        if self.config.run_checker:
+        if config.run_checker:
             steps.append(_Step("checker", False, _step_checker))
-        if self.config.eqc_guard:
+        if self._guarded:
             steps.append(_Step("eqc_postflight", False, _step_eqc_postflight))
         return steps
 
@@ -624,9 +661,10 @@ class UnmasqueExtractor:
             for step in self._steps():
                 if step.name in completed:
                     continue
-                # Re-materialize the resident probe state (D^1) from the
-                # recorded rows: every step starts from D_I + D^1, and every
-                # step exit below restores plain D_I — the sandbox invariant.
+                # Re-materialize the resident probe state (D^1, or the §7
+                # D_min) from the recorded rows: every step starts from D_I
+                # plus it, and every step exit below restores plain D_I —
+                # the sandbox invariant.
                 session.materialize_resident()
                 try:
                     step.fn(session, ctx)
@@ -735,9 +773,7 @@ class UnmasqueExtractor:
         if store is not None:
             store.clear()
 
-        report = (
-            eqc_guard.build_report(ctx.eqc_signals) if self.config.eqc_guard else None
-        )
+        report = eqc_guard.build_report(ctx.eqc_signals) if self._guarded else None
         return ExtractionOutcome(
             query=session.query,
             sql=session.query.sql,
@@ -786,11 +822,6 @@ class UnmasqueExtractor:
             budget=session.budget.snapshot() if session.budget.enabled else None,
         )
 
-    def _extract_with_having(self) -> ExtractionOutcome:
-        from repro.core import having as having_module
-
-        return having_module.extract_with_having(self.session)
-
 
 # -- the front door -----------------------------------------------------------
 
@@ -834,8 +865,24 @@ class _LedgerRun:
             self._drop(error)
 
     def _drop(self, error: StorageExhausted) -> None:
+        """Close the ledger after one best-effort ``aborted`` mark on the run
+        row, so a live ``repro serve`` does not show it ``running``.  The mark
+        never raises; on a truly full disk it fails too, and the row stays
+        ``running`` until :meth:`RunLedger.recover_stale_runs` sweeps it after
+        this process exits."""
         logger.warning("ledger dropped; the extraction goes on: %s", error)
         if self.ledger is not None:
+            if self.run_id is not None:
+                try:
+                    self.ledger.finish_run(
+                        self.run_id, status="aborted", extras={"error": str(error)}
+                    )
+                except Exception as mark_error:  # the extraction must go on
+                    logger.warning(
+                        "could not mark ledger run %s aborted: %s",
+                        self.run_id,
+                        mark_error,
+                    )
             self.ledger.close()
             self.ledger = None
         if self.on_error is not None:
@@ -870,6 +917,19 @@ class _LedgerRun:
         if self._flushed(provenance):
             self.ledger.fail_extraction(self.run_id, provenance, error)
             self.ledger.close()
+
+
+def check_writable(*paths) -> None:
+    """Raise :class:`UnwritableOutput` for the first output path (``None``
+    skipped) that cannot be opened for writing — before any probe runs."""
+    for path in paths:
+        if path is None:
+            continue
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as error:
+            raise UnwritableOutput(f"cannot write {path}: {error}") from error
 
 
 def run_extraction(
@@ -921,14 +981,7 @@ def run_extraction(
     if metrics is not None or trace_out or metrics_out:
         from repro.obs import MetricsRegistry, Tracer
 
-        for path in (trace_out, metrics_out):
-            if path is None:
-                continue
-            try:
-                with open(path, "a", encoding="utf-8"):
-                    pass
-            except OSError as error:
-                raise UnwritableOutput(f"cannot write {path}: {error}") from error
+        check_writable(trace_out, metrics_out)
         if metrics is None:
             metrics = MetricsRegistry()
         tracer = Tracer(metrics=metrics, keep_spans=trace_out is not None)

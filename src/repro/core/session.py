@@ -41,10 +41,10 @@ from repro.sgraph.schema_graph import ColumnNode, SchemaGraph
 class ModuleStats:
     """Wall-clock and invocation accounting for one pipeline module.
 
-    ``seconds`` is *self* time: when modules nest (e.g. the §7 HAVING
-    pipeline re-entering ``filters``), the inner module's wall-clock is
-    subtracted from the outer one, so no second is ever attributed to two
-    modules and :attr:`ExtractionStats.total_seconds` never double-counts.
+    ``seconds`` is *self* time: when modules nest, the inner module's
+    wall-clock is subtracted from the outer one, so no second is ever
+    attributed to two modules and :attr:`ExtractionStats.total_seconds`
+    never double-counts.
     """
 
     seconds: float = 0.0
@@ -559,6 +559,9 @@ class ExtractionSession(ProbeSurface):
         self.initial_result: Optional[Result] = None
         #: the single-row minimal database D^1: table -> row tuple
         self.d1: dict[str, tuple] = {}
+        #: the §7 pipeline's multi-row D_min: table -> rows; the resident
+        #: state until the template D^1 replaces it
+        self.d_min: dict[str, list[tuple]] = {}
         self.baseline_result: Optional[Result] = None
         #: count(*)-HAVING support (§7): every probe database physically
         #: replicates the designated table's rows this many times, so all
@@ -671,15 +674,19 @@ class ExtractionSession(ProbeSurface):
         self.silo.restore(self.di_snapshot)
 
     def materialize_resident(self) -> None:
-        """Re-install the resident probe state (D^1) after a D_I restore.
+        """Re-install the resident probe state after a D_I restore.
 
-        The standard pipeline's persistent silo state is fully determined by
-        ``(D_I, d1, probe_multiplier)``; once minimization has produced D^1,
-        re-materializing it from the recorded rows reproduces exactly what
-        the next module expects.
+        The persistent silo state is fully determined by ``(D_I, d_min, d1,
+        probe_multiplier)``: D^1 once minimization (or the §7 template) has
+        produced it, else the §7 pipeline's multi-row D_min.  Re-materializing
+        it from the recorded rows reproduces exactly what the next step
+        expects.
         """
         if self.d1:
             self.set_d1(dict(self.d1))
+        else:
+            for name, rows in self.d_min.items():
+                self._materialize(name, rows)
 
     def silo_matches_di(self) -> bool:
         """True when the live silo is byte-identical to D_I."""

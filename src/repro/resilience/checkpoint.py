@@ -2,8 +2,9 @@
 
 After each pipeline module completes, the orchestrator serialises the
 session's partial state — the :class:`~repro.core.model.ExtractedQuery` built
-so far, the completed-module set, the minimal database ``D^1``, captured
-results, per-module statistics, and the RNG state — into
+so far, the completed-module set, the minimal database ``D^1`` (and the §7
+pipeline's multi-row ``D_min`` and s-value guards), captured results,
+per-module statistics, and the RNG state — into
 ``<checkpoint-dir>/checkpoint.json``.  A later run pointed at the same
 directory (and the same initial instance + configuration) restores that state
 and re-executes only the unfinished modules.
@@ -43,8 +44,9 @@ logger = logging.getLogger("repro.resilience.checkpoint")
 
 #: bumped whenever the snapshot layout changes incompatibly
 #: (v2: sha-256 checksum envelope + quarantine-on-corruption;
-#: v3: ``di_fingerprint`` hashes per-table row digests)
-CHECKPOINT_VERSION = 3
+#: v3: ``di_fingerprint`` hashes per-table row digests;
+#: v4: the §7 pipeline's ``d_min`` and ``svalue_guards``)
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointStore:
@@ -152,6 +154,8 @@ def snapshot_session(
         "degradations": list(degradations),
         "query": serde.encode_query(session.query),
         "d1": serde.encode_rows_by_table(session.d1),
+        "d_min": serde.encode_tables(session.d_min),
+        "svalue_guards": serde.encode_guards(session.svalue_guards),
         "initial_result": serde.encode_result(session.initial_result),
         "baseline_result": serde.encode_result(session.baseline_result),
         "probe_multiplier": session.probe_multiplier,
@@ -183,6 +187,8 @@ def restore_session(session, state: dict) -> set[str]:
     session.query = serde.decode_query(state["query"])
     session.probe_multiplier = state["probe_multiplier"]
     session.multiplier_table = state["multiplier_table"]
+    session.d_min = serde.decode_tables(state["d_min"])
+    session.svalue_guards = serde.decode_guards(state["svalue_guards"])
     d1 = serde.decode_rows_by_table(state["d1"])
     if d1:
         session.set_d1(d1)

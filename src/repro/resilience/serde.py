@@ -283,6 +283,34 @@ def decode_rows_by_table(payload: dict) -> dict[str, tuple]:
     }
 
 
+def encode_tables(rows: dict[str, list[tuple]]) -> dict:
+    return {
+        table: [[encode_value(v) for v in row] for row in table_rows]
+        for table, table_rows in rows.items()
+    }
+
+
+def decode_tables(payload: dict) -> dict[str, list[tuple]]:
+    return {
+        table: [tuple(decode_value(v) for v in row) for row in table_rows]
+        for table, table_rows in payload.items()
+    }
+
+
+def encode_guards(guards: dict[ColumnNode, tuple]) -> list:
+    return [
+        [_encode_column(column), encode_value(lo), encode_value(hi)]
+        for column, (lo, hi) in guards.items()
+    ]
+
+
+def decode_guards(payload: list) -> dict[ColumnNode, tuple]:
+    return {
+        _decode_column(column): (decode_value(lo), decode_value(hi))
+        for column, lo, hi in payload
+    }
+
+
 def encode_rng_state(state) -> list:
     return [state[0], list(state[1]), state[2]]
 

@@ -143,14 +143,6 @@ class TestCrashResume:
         with pytest.raises(CheckpointError):
             UnmasqueExtractor(tiny_tpch_db, app, config, checkpoint_dir=store).extract()
 
-    def test_checkpoint_incompatible_with_having_pipeline(self, tpch_db, tmp_path):
-        from repro.errors import ExtractionError
-
-        app = SQLExecutable("select count(*) as n from orders")
-        config = ExtractionConfig(extract_having=True)
-        with pytest.raises(ExtractionError):
-            UnmasqueExtractor(tpch_db, app, config, checkpoint_dir=tmp_path)
-
 
 class TestBestEffortDegradation:
     def _late_outage_plan(self, clean_stats):

@@ -331,7 +331,7 @@ class TestCheckpointStaleness:
         self._plant_checkpoint(db, tmp_path)
         store = CheckpointStore(tmp_path)
         state = store.load()
-        assert state["version"] == CHECKPOINT_VERSION == 3
+        assert state["version"] == CHECKPOINT_VERSION == 4
         # a version-2 checkpoint of the same instance: its di_fingerprint was
         # a sha256 over every row, so it differs from today's digest
         state["version"] = 2
@@ -344,7 +344,7 @@ class TestCheckpointStaleness:
             UnmasqueExtractor(
                 db, app, ExtractionConfig(), checkpoint_dir=tmp_path
             ).extract()
-        assert "has version 2; this build reads version 3" in str(exc.value)
+        assert "has version 2; this build reads version 4" in str(exc.value)
         assert "fingerprint mismatch" not in str(exc.value)
 
     def test_cli_fresh_discards_stale_checkpoint(self, tmp_path):

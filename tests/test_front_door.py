@@ -12,7 +12,10 @@ import json
 
 import pytest
 
+from repro.apps import SQLExecutable
 from repro.cli import main
+from repro.core import ExtractionConfig
+from repro.core.pipeline import run_extraction
 from repro.errors import EmptyInitialResult, StorageExhausted, UnwritableOutput
 from repro.obs.ledger import RunLedger
 from repro.obs.trace import read_jsonl
@@ -57,6 +60,16 @@ def test_report_flag_prints_the_clause_report(command):
     assert "extraction report" in output
 
 
+def test_chaos_refuses_unwritable_outputs_before_the_baseline(tmp_path):
+    code, output = run_cli(
+        [*COMMANDS["chaos"], "--no-checker",
+         "--metrics-out", str(tmp_path / "missing" / "m.json")]
+    )
+    assert code == 2
+    assert output.startswith("cannot write ")
+    assert "baseline" not in output and "profile" not in output
+
+
 class TestLedgerFailurePolicy:
     """A full disk drops the ledger, never the extraction."""
 
@@ -79,6 +92,26 @@ class TestLedgerFailurePolicy:
             "exhausted in ledger: database or disk is full"
         ) in output
         assert "ledger      : run" not in output
+
+    def test_dropped_run_reads_aborted_in_the_same_process(
+        self, tmp_path, monkeypatch, tiny_tpch_db
+    ):
+        def full_disk(self, run_id, provenance, outcome):
+            raise StorageExhausted("ledger", "database or disk is full")
+
+        monkeypatch.setattr(RunLedger, "finish_extraction", full_disk)
+        ledger = str(tmp_path / "runs.sqlite")
+        run = run_extraction(
+            tiny_tpch_db,
+            SQLExecutable(Q6_SQL, obfuscate_text=True),
+            ExtractionConfig(run_checker=False),
+            ledger=ledger,
+        )
+        assert run.outcome.sql and run.ledger_run is None
+        with RunLedger(ledger) as book:
+            (row,) = book.runs()
+        assert (row["run_id"], row["status"]) == (1, "aborted")
+        assert "database or disk is full" in row["extras_json"]
 
     def test_full_disk_at_begin_runs_without_a_ledger(
         self, tmp_path, monkeypatch
