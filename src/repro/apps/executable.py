@@ -100,16 +100,12 @@ class InvocationMemo:
         """``execute()`` unless ``db``'s state has a memoized result.
 
         ``execute`` returns the result to memoize, or None for a failure the
-        caller reports another way (which is then returned as is).  Access
-        trace runs never consult the memo: observing the execution is their
-        point.  The run's cache/fingerprint facts are left on
+        caller reports another way (which is then returned as is).  The run's cache/fingerprint facts are left on
         ``db.last_invocation`` (private to the invoking thread: the silo
         sequentially, a replica per scheduler task), where the session's
         evidence recorder reads them without recomputing the fingerprint.
         """
-        key = None
-        if not getattr(db, "trace_access", False):
-            key = self.key_for(db, timeout)
+        key = self.key_for(db, timeout)
         db.last_invocation = {
             "cached": False,
             "fingerprint": key[0] if key is not None else "",
@@ -193,10 +189,9 @@ class Executable:
         (counted even when the application raises); engine queries issued by
         the hidden logic nest beneath its ``invocation`` span.
 
-        When an :class:`InvocationMemo` is attached (and the database is not
-        in access-trace mode, whose whole point is observing the execution),
-        the physical execution is skipped on a state match — everything else
-        about the invocation (counting, span, metrics) happens as usual.
+        When an :class:`InvocationMemo` is attached, the physical execution
+        is skipped on a state match — everything else about the invocation
+        (counting, span, metrics) happens as usual.
         """
         owns_deadline = (
             timeout is not None and getattr(db, "deadline", None) is None

@@ -753,7 +753,8 @@ def _run_extraction(args, sql: str, out) -> int:
     run = _run_command(args, sql, out, "cli-app", config_from_args(args), 12)
     _write_records(args, run, out, 12)
     outcome = run.outcome
-    out.write(f"{outcome.sql}\n\n")
+    if outcome.sql:
+        out.write(f"{outcome.sql}\n\n")
     if args.report:
         out.write(outcome.describe() + "\n\n")
     out.write(f"invocations : {outcome.stats.total_invocations}\n")
@@ -818,7 +819,8 @@ def _run_verify(args, sql: str, out) -> int:
         return 4
     if args.report:
         out.write("\n" + outcome.describe() + "\n")
-    out.write(f"{outcome.sql}\n")
+    if outcome.sql:
+        out.write(f"{outcome.sql}\n")
     if outcome.certify is not None:
         return _report_certify(args, outcome.certify, out)
     return 0

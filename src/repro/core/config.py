@@ -10,8 +10,7 @@ class ExtractionConfig:
     """Tuning parameters for the UNMASQUE pipeline.
 
     Defaults follow the paper's choices where it states them (halving the
-    currently *largest* table; limit-probe geometric ratio ``r = 10``) and
-    pragmatic values elsewhere.
+    currently *largest* table) and pragmatic values elsewhere.
     """
 
     #: RNG seed for all randomized probes (s-value picks, checker databases).
@@ -20,20 +19,12 @@ class ExtractionConfig:
     #: Per-probe execution timeout (seconds) during From-clause extraction.
     from_clause_timeout: float = 0.1
 
-    #: Strategy for From-clause identification: "rename" provokes engine
-    #: errors (SQL applications); "trace" uses the DB-side access log
-    #: (works for imperative applications too).
-    from_clause_strategy: str = "rename"
-
     #: Run the sampling pre-pass before iterative halving (paper §4.2).
     minimizer_sampling: bool = True
 
     #: Which table to halve next: "largest" (paper's winner), "smallest",
     #: "random", or "round_robin" (ablation choices, §4.2).
     halving_policy: str = "largest"
-
-    #: Geometric ratio for limit-probe result cardinalities (paper: 10).
-    limit_ratio: int = 10
 
     #: Extract a HAVING clause using the restructured pipeline (§7).
     extract_having: bool = False
@@ -79,9 +70,6 @@ class ExtractionConfig:
 
     #: Per-run cap on black-box invocations (None = unlimited).
     budget_invocations: int | None = None
-
-    #: Per-module cap on black-box invocations (None = unlimited).
-    budget_module_invocations: int | None = None
 
     #: Per-run cap on engine rows scanned (None = unlimited).
     budget_rows_scanned: int | None = None
@@ -131,9 +119,6 @@ class ExtractionConfig:
     #: spent is failed over transparently.
     worker_peers: tuple = ()
 
-    #: TCP connect + hello deadline per dial attempt, seconds.
-    transport_connect_timeout: float = 5.0
-
     #: Idle-connection heartbeat period, seconds.  Heartbeat RTTs feed the
     #: EWMA failure detector that sizes read deadlines adaptively.
     transport_heartbeat_interval: float = 0.5
@@ -141,10 +126,6 @@ class ExtractionConfig:
     #: Reconnect backoff: ``base * 2^failures`` capped at ``max``, seconds.
     transport_backoff_base: float = 0.05
     transport_backoff_max: float = 2.0
-
-    #: Consecutive reconnect failures before a peer is declared down and the
-    #: slot fails over (all peers down → :class:`~repro.errors.PeerQuarantined`).
-    transport_max_reconnects: int = 5
 
     #: Shared transport secret (bytes) keying the per-frame HMAC both ways;
     #: must match the worker agents'.  None falls back to the

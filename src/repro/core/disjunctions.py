@@ -25,7 +25,6 @@ enabled with ``ExtractionConfig(extract_disjunctions=True)``:
 from __future__ import annotations
 
 from repro.core.filters import (
-    _Axis,
     _numeric_probe,
     _text_probe,
     first_populated,
@@ -39,6 +38,7 @@ from repro.core.model import (
     TextFilter,
 )
 from repro.core.session import ExtractionSession
+from repro.core.svalues import Axis
 from repro.errors import UnsupportedQueryError
 from repro.sgraph.schema_graph import ColumnNode
 
@@ -156,7 +156,7 @@ def _refine_numeric(session: ExtractionSession, predicate: NumericFilter) -> Fil
     qualifying/failing witness pattern.
     """
     column = predicate.column
-    axis = _Axis(session, column)
+    axis = Axis.of(session, column)
     seeds = [axis.to_axis(predicate.lo), axis.to_axis(predicate.hi)]
     anchor = session.d1_value(column)
     if anchor is not None:
@@ -183,7 +183,7 @@ def _refine_numeric(session: ExtractionSession, predicate: NumericFilter) -> Fil
 
 def _detect_hole(session: ExtractionSession, column: ColumnNode) -> Filter | None:
     """Case-1 columns (both extremes qualify) may hide interior holes."""
-    axis = _Axis(session, column)
+    axis = Axis.of(session, column)
     sample_axes = [
         axis.to_axis(v)
         for v in session.di_samples.get(column, [])[:_MAX_SEEDS]
@@ -205,7 +205,7 @@ def _detect_hole(session: ExtractionSession, column: ColumnNode) -> Filter | Non
 def _witnessed_intervals(
     session: ExtractionSession,
     column: ColumnNode,
-    axis: _Axis,
+    axis: Axis,
     extra_seed_axes: list[int],
 ) -> list[tuple[int, int]]:
     """Qualifying intervals resolved by the witnessed seed pattern.

@@ -28,17 +28,13 @@ column.
 
 from __future__ import annotations
 
-import datetime
 from typing import Callable
 
 from repro.core.grouptest import CLEARED, Screen, group_test, own_probes
 from repro.core.model import Filter, NumericFilter, TextFilter
 from repro.core.session import ExtractionSession
-from repro.engine.types import (
-    DateType,
-    NumericType,
-    VarcharType,
-)
+from repro.core.svalues import Axis
+from repro.engine.types import VarcharType
 from repro.errors import ExtractionError, UnsupportedQueryError
 from repro.sgraph.schema_graph import ColumnNode
 
@@ -110,7 +106,7 @@ def _screen_extremes(
 def _extreme(session: ExtractionSession, column: ColumnNode, high: bool):
     col_type = session.column_type(column)
     if col_type.is_numeric or col_type.is_temporal:
-        axis = _Axis(session, column)
+        axis = Axis.of(session, column)
         return axis.from_axis(axis.hi if high else axis.lo)
     if col_type.is_textual:
         return "a" if high else ""
@@ -263,49 +259,17 @@ def _check_with_null_probes(
 def _representative_value(session: ExtractionSession, column: ColumnNode, col_type):
     if col_type.is_textual:
         return "a"
-    axis = _Axis(session, column)
+    axis = Axis.of(session, column)
     return axis.from_axis(axis.lo)
 
 
 # --- numeric / date -------------------------------------------------------
 
 
-class _Axis:
-    """Maps a column's values onto an integer probe axis and back."""
-
-    def __init__(self, session: ExtractionSession, column: ColumnNode):
-        self.col_type = session.column_type(column)
-        domain = session.column_domain(column)
-        if isinstance(self.col_type, DateType):
-            self.lo = domain.lo.toordinal()
-            self.hi = domain.hi.toordinal()
-        elif isinstance(self.col_type, NumericType):
-            self.scale = 10**self.col_type.scale
-            self.lo = round(domain.lo * self.scale)
-            self.hi = round(domain.hi * self.scale)
-        else:
-            self.lo = domain.lo
-            self.hi = domain.hi
-
-    def to_axis(self, value) -> int:
-        if isinstance(self.col_type, DateType):
-            return value.toordinal()
-        if isinstance(self.col_type, NumericType):
-            return round(value * self.scale)
-        return value
-
-    def from_axis(self, axis: int):
-        if isinstance(self.col_type, DateType):
-            return datetime.date.fromordinal(axis)
-        if isinstance(self.col_type, NumericType):
-            return axis / self.scale
-        return axis
-
-
 def _check_numeric(
     session: ExtractionSession, column: ColumnNode, extremes=None
 ) -> NumericFilter | None:
-    axis = _Axis(session, column)
+    axis = Axis.of(session, column)
     if extremes is None:
         extremes = (
             _numeric_probe(session, column, axis, axis.lo),
@@ -335,7 +299,7 @@ def _check_numeric(
 
 
 def _numeric_probe(
-    session: ExtractionSession, column: ColumnNode, axis: _Axis, axis_value: int
+    session: ExtractionSession, column: ColumnNode, axis: Axis, axis_value: int
 ) -> bool:
     result = session.run_on_d1_mutation(
         column.table, {column.column: axis.from_axis(axis_value)}

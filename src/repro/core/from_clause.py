@@ -16,11 +16,9 @@ small timeout, which is what keeps the schema-scaling experiment (§6.2,
 An error naming a relation outside the renamed set (an application that
 reports its own table names) cannot be read that way; the tables still
 renamed are then tested one per probe, where any ``UndefinedTableError``
-identifies the single renamed table.
-
-For imperative applications, whose host language may swallow errors, an
-alternative *trace* strategy observes the DB-side access log instead (the
-engine-side analogue of the technical report's instrumentation approach).
+identifies the single renamed table.  Imperative applications are
+identified the same way: their scans hit the renamed catalog and raise the
+same error.
 """
 
 from __future__ import annotations
@@ -38,13 +36,7 @@ _PROBE_PREFIX = "unmasque_probe_"
 def extract_tables(session: ExtractionSession) -> list[str]:
     """Identify ``T_E`` and record it on the session's query."""
     with session.module("from_clause"):
-        strategy = session.config.from_clause_strategy
-        if strategy == "rename":
-            tables = _extract_by_rename(session)
-        elif strategy == "trace":
-            tables = _extract_by_trace(session)
-        else:
-            raise ExtractionError(f"unknown from-clause strategy {strategy!r}")
+        tables = _extract_by_rename(session)
         if not tables:
             raise ExtractionError("no tables identified — application may not query this database")
         session.query.tables = tables
@@ -122,24 +114,3 @@ def _record(session: ExtractionSession, table: str, referenced: bool, detail: st
     else:
         provenance.reject("from", table, "from_clause", detail=detail)
 
-
-def _extract_by_trace(session: ExtractionSession) -> list[str]:
-    session.silo.access_log.clear()
-    session.silo.trace_access = True
-    try:
-        session.run()
-    finally:
-        session.silo.trace_access = False
-    tables = sorted(set(session.silo.access_log))
-    provenance = session.provenance
-    if provenance.enabled:
-        for table in tables:
-            provenance.accept(
-                "from",
-                table,
-                "from_clause",
-                detail="table appeared in the traced access log",
-                claim=False,
-                include_module_probes=True,
-            )
-    return tables

@@ -50,13 +50,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.filters import (
-    _Axis,
     _check_textual,
     first_populated,
     last_populated,
 )
 from repro.core.model import HavingPredicate, NumericFilter
 from repro.core.session import ExtractionSession
+from repro.core.svalues import Axis
 from repro.errors import ExtractionError, UnsupportedQueryError
 from repro.sgraph.schema_graph import ColumnNode
 
@@ -152,7 +152,7 @@ def _set_all_probe(session: ExtractionSession, column: ColumnNode, value) -> boo
 def _extract_unified_bounds(session: ExtractionSession) -> list[_Bound]:
     bounds: list[_Bound] = []
     for column in _numeric_candidates(session):
-        axis = _Axis(session, column)
+        axis = Axis.of(session, column)
 
         def probe(axis_value: int) -> bool:
             return _set_all_probe(session, column, axis.from_axis(axis_value))
@@ -168,7 +168,7 @@ def _extract_unified_bounds(session: ExtractionSession) -> list[_Bound]:
     return bounds
 
 
-def _current_axis_anchor(session, column: ColumnNode, axis: _Axis) -> int:
+def _current_axis_anchor(session, column: ColumnNode, axis: Axis) -> int:
     """An axis value known to qualify: the column's mean would not be safe for
     min/max bounds, so use a value present in D_min — for all-equal probes any
     current value works because the *current* database is populated... except
@@ -215,7 +215,7 @@ def _mixed_probe(
 def _classify_families(session: ExtractionSession, bounds: list[_Bound]) -> None:
     sum_seen = False
     for bound in bounds:
-        axis = _Axis(session, bound.column)
+        axis = Axis.of(session, bound.column)
         if _is_sum_bound(session, bound, axis):
             if sum_seen:
                 raise UnsupportedQueryError(
@@ -229,7 +229,7 @@ def _classify_families(session: ExtractionSession, bounds: list[_Bound]) -> None
         bound.constant = axis.from_axis(bound.axis_value)
 
 
-def _is_sum_bound(session, bound: _Bound, axis: _Axis) -> bool:
+def _is_sum_bound(session, bound: _Bound, axis: Axis) -> bool:
     """Doubling the rows halves a sum threshold on the all-equal axis."""
     table = bound.column.table
     n = session.silo.row_count(table)
@@ -257,13 +257,13 @@ def _is_sum_bound(session, bound: _Bound, axis: _Axis) -> bool:
     return probe(_halfway(axis, bound.axis_value, "upper")) or probe(just_above)
 
 
-def _halfway(axis: _Axis, flip: int, side: str) -> int:
+def _halfway(axis: Axis, flip: int, side: str) -> int:
     if side == "lower":
         return max(axis.lo + 1, flip // 2 if flip > 0 else flip * 2)
     return min(axis.hi - 1, flip * 2 if flip > 0 else flip // 2)
 
 
-def _resolve_sum_constant(session, bound: _Bound, axis: _Axis):
+def _resolve_sum_constant(session, bound: _Bound, axis: Axis):
     """Recover the exact sum threshold: fix n-1 rows, bisect the last."""
     table = bound.column.table
     schema = session.silo.schema(table)
@@ -285,7 +285,7 @@ def _resolve_sum_constant(session, bound: _Bound, axis: _Axis):
     return axis.from_axis(pivot_axis * (n - 1) + w_star)
 
 
-def _classify_invariant_family(session, bound: _Bound, axis: _Axis) -> str:
+def _classify_invariant_family(session, bound: _Bound, axis: Axis) -> str:
     """Separate filter / min (or max) / avg via mixed-value probes."""
     delta = 1
     flip = bound.axis_value
@@ -333,7 +333,7 @@ def _install_bounds(session: ExtractionSession, bounds: list[_Bound]) -> None:
         by_column.setdefault(bound.column, {})[bound.side] = bound
 
     for column, sides in by_column.items():
-        axis = _Axis(session, column)
+        axis = Axis.of(session, column)
         domain_lo = axis.from_axis(axis.lo)
         domain_hi = axis.from_axis(axis.hi)
         lower = sides.get("lower")
@@ -430,7 +430,7 @@ def _install_bounds(session: ExtractionSession, bounds: list[_Bound]) -> None:
 
 
 def _scaled_guard(session, column: ColumnNode, constant, divisor: int):
-    axis = _Axis(session, column)
+    axis = Axis.of(session, column)
     scaled = axis.to_axis(constant) // divisor
     if scaled <= axis.lo:
         raise UnsupportedQueryError(

@@ -24,6 +24,9 @@ from repro.sgraph.schema_graph import ColumnNode
 #: Smallest probe cardinality (paper: max(4, |R_I|)).
 LIMIT_START_FLOOR = 4
 
+#: Geometric ratio between successive probe cardinalities (paper: r = 10).
+LIMIT_RATIO = 10
+
 #: Upper bound on probe cardinality (a practical cap below the
 #: domain-derived l_max).
 LIMIT_PROBE_CAP = 2000
@@ -84,7 +87,7 @@ def extract_limit(session: ExtractionSession, svalues: SValueSource) -> int | No
                     )
                 query.limit = None
                 return None
-            n = min(n * session.config.limit_ratio, cap)
+            n = min(n * LIMIT_RATIO, cap)
 
 
 def _independent_group_columns(session: ExtractionSession) -> list[ColumnNode]:

@@ -102,6 +102,9 @@ class ExtractionOutcome:
     """Everything an extraction run produces."""
 
     query: ExtractedQuery
+    #: the extracted SQL; "" when there is none to emit (an out-of-class
+    #: verdict, or a run stopped before any output was extracted, whose
+    #: empty select list would not parse)
     sql: str
     stats: ExtractionStats
     checker_report: Optional[checker.CheckReport]
@@ -776,7 +779,7 @@ class UnmasqueExtractor:
         report = eqc_guard.build_report(ctx.eqc_signals) if self._guarded else None
         return ExtractionOutcome(
             query=session.query,
-            sql=session.query.sql,
+            sql=session.query.sql if session.query.outputs else "",
             stats=session.stats,
             checker_report=ctx.checker_report,
             degradations=degradations,

@@ -475,7 +475,6 @@ class ExtractionSession(ProbeSurface):
         self.budget = ResourceBudget(
             BudgetSpec(
                 max_invocations=config.budget_invocations,
-                max_module_invocations=config.budget_module_invocations,
                 max_rows_scanned=config.budget_rows_scanned,
                 max_cells=config.budget_cells,
                 max_seconds=config.budget_seconds,

@@ -35,6 +35,42 @@ class SValueError(ExtractionError):
     """The requested number of distinct s-values does not exist."""
 
 
+class Axis:
+    """Maps a column type's values onto an integer probe axis and back.
+
+    Dates map to day ordinals, fixed-precision decimals to integers scaled
+    by ``10^scale``, integers to themselves.  :meth:`of` also spans the
+    column's catalog domain as ``lo``/``hi``.
+    """
+
+    def __init__(self, col_type):
+        self.col_type = col_type
+        if isinstance(col_type, NumericType):
+            self.scale = 10**col_type.scale
+
+    @classmethod
+    def of(cls, session: ExtractionSession, column: ColumnNode) -> "Axis":
+        axis = cls(session.column_type(column))
+        domain = session.column_domain(column)
+        axis.lo = axis.to_axis(domain.lo)
+        axis.hi = axis.to_axis(domain.hi)
+        return axis
+
+    def to_axis(self, value) -> int:
+        if isinstance(self.col_type, DateType):
+            return value.toordinal()
+        if isinstance(self.col_type, NumericType):
+            return round(value * self.scale)
+        return value
+
+    def from_axis(self, axis: int):
+        if isinstance(self.col_type, DateType):
+            return datetime.date.fromordinal(axis)
+        if isinstance(self.col_type, NumericType):
+            return axis / self.scale
+        return axis
+
+
 class SValueSource:
     """Factory for filter-compatible column values."""
 
@@ -114,8 +150,9 @@ class SValueSource:
         elif isinstance(predicate, InListFilter):
             capacity = len(predicate.values)
         elif isinstance(predicate, MultiRangeFilter):
+            axis = Axis(col_type)
             capacity = sum(
-                self._to_axis(hi, col_type) - self._to_axis(lo, col_type) + 1
+                axis.to_axis(hi) - axis.to_axis(lo) + 1
                 for lo, hi in predicate.intervals
             )
         elif col_type.is_textual and predicate is None:
@@ -145,23 +182,8 @@ class SValueSource:
                 lo = guard_lo
             if guard_hi is not None and guard_hi < hi:
                 hi = guard_hi
-        return self._to_axis(lo, col_type), self._to_axis(hi, col_type)
-
-    @staticmethod
-    def _to_axis(value, col_type) -> int:
-        if isinstance(col_type, DateType):
-            return value.toordinal()
-        if isinstance(col_type, NumericType):
-            return round(value * 10**col_type.scale)
-        return value
-
-    @staticmethod
-    def _from_axis(axis: int, col_type):
-        if isinstance(col_type, DateType):
-            return datetime.date.fromordinal(axis)
-        if isinstance(col_type, NumericType):
-            return axis / 10**col_type.scale
-        return axis
+        axis = Axis(col_type)
+        return axis.to_axis(lo), axis.to_axis(hi)
 
     def _numeric_values(self, column, predicate, n, col_type) -> list:
         lo_axis, hi_axis = self._numeric_axis_range(column, predicate, col_type)
@@ -170,22 +192,22 @@ class SValueSource:
         start = lo_axis if lo_axis > 1 else min(max(lo_axis, 1), hi_axis)
         if start + n - 1 > hi_axis:
             start = max(lo_axis, hi_axis - n + 1)
-        values = []
-        axis = start
-        while axis <= hi_axis and len(values) < n:
-            values.append(self._from_axis(axis, col_type))
-            axis += 1
-        return values
+        axis = Axis(col_type)
+        return [
+            axis.from_axis(point)
+            for point in range(start, min(hi_axis, start + n - 1) + 1)
+        ]
 
     def _multirange_values(self, predicate, n, col_type) -> list:
         """Ascending s-values drawn across a union of intervals."""
+        axis = Axis(col_type)
         values: list = []
         for lo, hi in predicate.intervals:
-            axis = self._to_axis(lo, col_type)
-            end = self._to_axis(hi, col_type)
-            while axis <= end and len(values) < n:
-                values.append(self._from_axis(axis, col_type))
-                axis += 1
+            point = axis.to_axis(lo)
+            end = axis.to_axis(hi)
+            while point <= end and len(values) < n:
+                values.append(axis.from_axis(point))
+                point += 1
             if len(values) == n:
                 break
         return values

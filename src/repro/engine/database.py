@@ -6,9 +6,7 @@ A :class:`Database` bundles a catalog with row storage and exposes:
   this is what hidden applications use;
 * a direct Python API for the same operations (create/rename/drop/insert/
   sample/clone) — this is what the extraction pipeline uses, mirroring the
-  paper's assumption that the DB is "freely accessible via its API";
-* a table-access trace, the DB-side instrumentation that supports From-clause
-  identification for imperative applications.
+  paper's assumption that the DB is "freely accessible via its API".
 """
 
 from __future__ import annotations
@@ -320,8 +318,6 @@ class Database:
     def __init__(self, schemas: Iterable[TableSchema] = ()):
         self.catalog = Catalog()
         self._tables: dict[str, TableData] = {}
-        self.access_log: list[str] = []
-        self.trace_access = False
         #: observability hook: engine statements open ``query`` spans on this
         #: tracer (parse/plan/execute timing, row counts).  The default
         #: :data:`~repro.obs.trace.NULL_TRACER` records nothing; either way
@@ -407,24 +403,19 @@ class Database:
         data = self._tables.get(name.lower())
         if data is None:
             raise UndefinedTableError(name)
-        if self.trace_access:
-            self.access_log.append(name.lower())
         return data
 
     def schema(self, name: str) -> TableSchema:
         return self.catalog.get(name)
 
     def table_states(self) -> list[tuple[str, TableSchema, list[tuple]]]:
-        """``(name, schema, shared_rows)`` for every table, bypassing the
-        access trace.
+        """``(name, schema, shared_rows)`` for every table.
 
         This is the isolation supervisor's delta source: the returned row
         lists are copy-on-write shares (see
         :meth:`~repro.engine.storage.TableData.share_rows`), so holding one
         and comparing it *by identity* on the next call is a sound
-        changed-since-last-time test.  Reading through :meth:`table` would
-        pollute ``access_log`` during From-clause trace runs, so this helper
-        goes straight to storage.
+        changed-since-last-time test.
         """
         return [
             (name, data.schema, data.share_rows())

@@ -39,6 +39,7 @@ from typing import Optional
 
 from repro.errors import ExtractionError
 from repro.isolation.protocol import (
+    AGENT_PROTOCOL,
     ProtocolError,
     TcpTransport,
     TransportTimeout,
@@ -51,10 +52,6 @@ from repro.isolation.supervisor import (
     WorkerHandle,
     WorkerSpec,
 )
-
-#: protocol identity sent in the hello reply; a supervisor refuses to run
-#: against an agent speaking a different protocol generation
-AGENT_PROTOCOL = 2
 
 #: interfaces an unauthenticated agent may bind (the local machine is the
 #: same trust domain as a local subprocess worker; anything wider requires

@@ -27,14 +27,13 @@ invocation boundary —
 * engine rows scanned inside the worker are charged to the database's
   budget after the fact, so budget enforcement is supervisor-side and
   counted once;
-* the database's ``access_log`` is mirrored from the worker when the
-  From-clause trace strategy asked for it, and chaos-injection counts are
-  mirrored onto the local :class:`~repro.resilience.faults.FaultyExecutable`
-  so survival reports read the same either way.
+* chaos-injection counts are mirrored onto the local
+  :class:`~repro.resilience.faults.FaultyExecutable` so survival reports
+  read the same either way.
 
 :meth:`~ProcessIsolationBackend.invoke_reply` is the transport alone: the
-same memo and access-log handling, the raw worker reply returned, and no
-counters, metrics, spans or budget charges.
+same memo handling, the raw worker reply returned, and no counters,
+metrics, spans or budget charges.
 
 Clean application errors (engine signals, injected soft faults) are
 re-raised exactly as the worker raised them — their types round-trip the
@@ -96,11 +95,9 @@ def handle_factory(config):
     secret = config.transport_secret
     spec = RemoteSpec(
         peers=tuple(config.worker_peers),
-        connect_timeout=config.transport_connect_timeout,
         heartbeat_interval=config.transport_heartbeat_interval,
         backoff_base=config.transport_backoff_base,
         backoff_max=config.transport_backoff_max,
-        max_reconnects=config.transport_max_reconnects,
         secret=secret if secret is not None else secret_from_env(),
     )
     return RemoteHandleFactory(
@@ -164,16 +161,14 @@ class ProcessIsolationBackend:
         return reply["result"]
 
     def _transport(self, db, timeout, span) -> dict:
-        """Worker round-trip and access-log mirror, through the executable's
-        invocation memo (the same :meth:`Executable.run_memoized` an
-        in-process run takes, so memo hits and fingerprints reach
-        provenance identically)."""
-        trace_access = bool(getattr(db, "trace_access", False))
+        """Worker round-trip through the executable's invocation memo (the
+        same :meth:`Executable.run_memoized` an in-process run takes, so
+        memo hits and fingerprints reach provenance identically)."""
         reply = None
 
         def round_trip():
             nonlocal reply
-            reply = self.pool.invoke(db, timeout, trace_access=trace_access)
+            reply = self.pool.invoke(db, timeout)
             return reply["result"] if reply.get("ok") else None
 
         try:
@@ -190,9 +185,6 @@ class ProcessIsolationBackend:
             self._mirror_injected()
         if reply is None:  # a memo hit: no worker was asked
             return {"ok": True, "result": result, "stats": {}}
-        stats = reply.get("stats") or {}
-        if trace_access and "access_log" in stats:
-            db.access_log.extend(stats["access_log"])
         return reply
 
     def _mirror_injected(self) -> None:

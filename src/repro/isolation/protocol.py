@@ -36,7 +36,7 @@ Message shapes (plain dicts, ``cmd`` / reply keyed):
              bytes so an unpicklable/broken spec surfaces as a structured
              ``init`` error instead of a dead worker.  Accepted at any time;
              the worker starts an empty replica with it.
-``run``      ``{cmd, ordinal, timeout, trace_access, deltas, dropped}`` —
+``run``      ``{cmd, ordinal, timeout, deltas, dropped}`` —
              ``deltas`` maps table name to ``{"schema": TableSchema,
              "rows": [tuple, ...]}`` for every table whose contents changed
              since the last ship; ``dropped`` lists names that no longer
@@ -48,8 +48,7 @@ Message shapes (plain dicts, ``cmd`` / reply keyed):
 Replies: ``{ok: True, result: Result, stats: {...}}`` or ``{ok: False,
 error: BaseException, stats: {...}}``.  ``stats`` carries ``duration``,
 ``maxrss_bytes``, ``rows_scanned``, ``invocation_count``, and optionally
-``injected`` (chaos bookkeeping) and ``access_log`` (From-clause trace
-strategy).
+``injected`` (chaos bookkeeping).
 """
 
 from __future__ import annotations
@@ -64,6 +63,11 @@ import struct
 import time
 import zlib
 from typing import BinaryIO, Optional
+
+#: protocol generation an agent names in its hello reply; a supervisor
+#: refuses to run against an agent speaking a different one, whose frames
+#: it cannot trust to have the same keys
+AGENT_PROTOCOL = 3
 
 #: frame header: unsigned 64-bit big-endian payload length
 _HEADER = struct.Struct(">Q")

@@ -44,7 +44,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import ExtractionError, PeerQuarantined, PeerUnavailable
-from repro.isolation.protocol import ProtocolError, TcpTransport, TransportTimeout
+from repro.isolation.protocol import (
+    AGENT_PROTOCOL,
+    ProtocolError,
+    TcpTransport,
+    TransportTimeout,
+)
 from repro.isolation.supervisor import _SPAWN_TIMEOUT, HardTimeout, WorkerDied
 
 #: transport exceptions that mean "this connection is no longer usable"
@@ -411,6 +416,12 @@ class RemoteWorkerHandle:
                                      self.detector.timeout()))
             if not hello.get("hello"):
                 raise ProtocolError(f"bad hello reply: {hello!r}")
+            if hello.get("protocol") != AGENT_PROTOCOL:
+                raise ProtocolError(
+                    f"agent on {self.address} speaks protocol "
+                    f"{hello.get('protocol')!r}; this supervisor speaks "
+                    f"protocol {AGENT_PROTOCOL}"
+                )
             # the handshake round-trip seeds the failure detector, so even
             # the first run request gets a calibrated network allowance
             self.last_hello_rtt = time.perf_counter() - started
@@ -554,13 +565,13 @@ class RemoteHandleFactory:
                 self.pool.count("transport_reconnects_total")
             try:
                 handle.connect(self.pool.executable_blob)
-            except (TransportTimeout, *_CONNECTION_ERRORS):
+            except (TransportTimeout, *_CONNECTION_ERRORS) as error:
                 handle.reconnect_failures += 1
                 self.registry.note_suspect(handle.address)
                 if handle.reconnect_failures >= self.spec.max_reconnects:
                     self._declare_peer_down(handle.address)
                     handle.reconnect_failures = 0
-                    self._failover(handle)  # raises when no peer is left
+                    self._failover(handle, error)  # raises when no peer is left
                 continue
             self.registry.note_connect(handle.address, reconnect=is_reconnect)
             self._peer_down[handle.address] = False
@@ -572,11 +583,16 @@ class RemoteHandleFactory:
                 self.pool.observe("heartbeat_rtt_seconds", handle.last_hello_rtt)
             return handle
 
-    def _failover(self, handle: RemoteWorkerHandle) -> None:
-        """Re-point a handle at the next healthy peer; caller holds its lock."""
+    def _failover(self, handle: RemoteWorkerHandle, cause=None) -> None:
+        """Re-point a handle at the next healthy peer; caller holds its lock.
+        ``cause`` (the error that took the last peer down) is named in the
+        quarantine when no peer is left."""
         peers = self.spec.peers
         if all(self._peer_down.get(a) for a in peers):
-            self.pool.quarantine("every peer is unreachable")
+            reason = "every peer is unreachable"
+            if cause is not None:
+                reason += f" (last error: {cause})"
+            self.pool.quarantine(reason)
         start = peers.index(handle.address)
         ordered = [peers[(start + offset) % len(peers)]
                    for offset in range(1, len(peers) + 1)]

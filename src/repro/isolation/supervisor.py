@@ -568,7 +568,7 @@ class WorkerPool:
 
     # -- public API ---------------------------------------------------------
 
-    def invoke(self, db, timeout: Optional[float], trace_access: bool = False) -> dict:
+    def invoke(self, db, timeout: Optional[float]) -> dict:
         """Run one invocation on a leased handle; returns the worker's reply.
 
         Raises :class:`~repro.errors.ExecutableTimeoutError` on a hard-
@@ -591,7 +591,7 @@ class WorkerPool:
                 handle = self._handles[slot] = self.factory.ready(
                     self._handles[slot]
                 )
-                return self._run(handle, db, timeout, trace_access)
+                return self._run(handle, db, timeout)
         finally:
             self._slots.put(slot)
 
@@ -666,7 +666,7 @@ class WorkerPool:
 
     # -- internals ----------------------------------------------------------
 
-    def _run(self, handle, db, timeout: Optional[float], trace_access: bool) -> dict:
+    def _run(self, handle, db, timeout: Optional[float]) -> dict:
         with self._lock:
             self.ordinal += 1
             ordinal = self.ordinal
@@ -677,7 +677,6 @@ class WorkerPool:
             "cmd": "run",
             "ordinal": ordinal,
             "timeout": timeout,
-            "trace_access": trace_access,
             "deltas": _deltas(shipped, db),
             "dropped": _dropped(shipped, db),
         }

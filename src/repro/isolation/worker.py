@@ -110,8 +110,6 @@ def _run_once(db: Database, executable, message: dict) -> dict:
     timeout: Optional[float] = message["timeout"]
     tally = _RowsTally()
     db.budget = tally
-    db.access_log.clear()
-    db.trace_access = bool(message["trace_access"])
     # The supervisor's global invocation ordinal: fault injectors key their
     # per-invocation draws on it so a respawned worker does not replay the
     # fault sequence from scratch (see FaultPlan.draw_hard).
@@ -134,7 +132,6 @@ def _run_once(db: Database, executable, message: dict) -> dict:
     finally:
         db.deadline = None
         db.budget = None
-        db.trace_access = False
     stats = {
         "duration": time.perf_counter() - started,
         "maxrss_bytes": _maxrss_bytes(),
@@ -144,8 +141,6 @@ def _run_once(db: Database, executable, message: dict) -> dict:
     injected = getattr(executable, "injected", None)
     if isinstance(injected, dict):
         stats["injected"] = dict(injected)
-    if message["trace_access"]:
-        stats["access_log"] = list(db.access_log)
     if error is not None:
         return {"ok": False, "error": _portable_error(error), "stats": stats}
     return {"ok": True, "result": result, "stats": stats}

@@ -19,7 +19,7 @@ that reality:
 * :mod:`repro.resilience.serde` — the JSON codec for extraction state
   (filters, scalar functions, results, D^1 rows, RNG state);
 * :mod:`repro.resilience.budgets` — :class:`ResourceBudget` watchdog
-  enforcing per-module and per-run limits (invocations, rows scanned,
+  enforcing per-run limits (invocations, rows scanned,
   synthetic cells, wall-clock) with a structured
   :class:`~repro.errors.BudgetExhausted` that flows into degradation;
 * :mod:`repro.resilience.diskfaults` / :mod:`repro.resilience.netfaults` —

@@ -31,14 +31,9 @@ from repro.errors import BudgetExhausted
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Declarative limits; ``None`` means unlimited.
-
-    ``max_module_invocations`` caps invocations *within a single pipeline
-    module* (reset on module change); all other limits are per-run.
-    """
+    """Declarative per-run limits; ``None`` means unlimited."""
 
     max_invocations: Optional[int] = None
-    max_module_invocations: Optional[int] = None
     max_rows_scanned: Optional[int] = None
     max_cells: Optional[int] = None
     max_seconds: Optional[float] = None
@@ -53,7 +48,6 @@ class BudgetSpec:
             limit is not None
             for limit in (
                 self.max_invocations,
-                self.max_module_invocations,
                 self.max_rows_scanned,
                 self.max_cells,
                 self.max_seconds,
@@ -88,8 +82,8 @@ class ResourceBudget:
         self.rows_scanned = 0
         self.cells = 0
         self.started_at: Optional[float] = None
+        #: the pipeline module running now, named on an exhaustion
         self.module: Optional[str] = None
-        self.module_invocations: dict[str, int] = {}
         self.exhausted: Optional[BudgetExhausted] = None
 
     @property
@@ -141,25 +135,16 @@ class ResourceBudget:
         if not self.active:
             return
         self.invocations += 1
-        module = self.module or "?"
-        used = self.module_invocations.get(module, 0) + 1
-        self.module_invocations[module] = used
         self._gauge("budget_invocations_used", self.invocations)
         limit = self.spec.max_invocations
         if limit is not None and self.invocations > limit:
             self._exhaust("invocations", limit, self.invocations)
-        module_limit = self.spec.max_module_invocations
-        if module_limit is not None and used > module_limit:
-            self._exhaust("module_invocations", module_limit, used)
 
     def charge_invocations(self, count: int) -> None:
         """Bulk-charge ``count`` invocations (tenant ledgers settling a job)."""
         if not self.active or count <= 0:
             return
         self.invocations += count
-        module = self.module or "?"
-        used = self.module_invocations.get(module, 0) + count
-        self.module_invocations[module] = used
         self._gauge("budget_invocations_used", self.invocations)
         limit = self.spec.max_invocations
         if limit is not None and self.invocations > limit:
@@ -205,7 +190,6 @@ class ResourceBudget:
             "wall_seconds": round(self.elapsed(), 6),
             "limits": {
                 "invocations": spec.max_invocations,
-                "module_invocations": spec.max_module_invocations,
                 "rows_scanned": spec.max_rows_scanned,
                 "cells": spec.max_cells,
                 "seconds": spec.max_seconds,

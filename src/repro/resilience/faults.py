@@ -182,10 +182,10 @@ HARD_FAULT_PROFILES = frozenset(
 class FaultyExecutable(Executable):
     """Wraps an executable and injects faults per a :class:`FaultPlan`.
 
-    The wrapper is *outside* the inner executable's own tracing: an injected
-    transient/timeout fault aborts the invocation before the application
-    (and its ``invocation`` span) ever starts, exactly like an
-    infrastructure failure in front of a real deployment.
+    The wrapper is the invocation: :meth:`Executable.run` accounts every
+    attempt (its span, counters and metrics), and an injected
+    transient/timeout fault aborts it before the inner application runs,
+    exactly like an infrastructure failure in front of a real deployment.
     """
 
     def __init__(self, inner: Executable, plan: FaultPlan):
@@ -194,6 +194,10 @@ class FaultyExecutable(Executable):
         self.plan = plan
         self.name = f"chaos({inner.name})"
         self._rng = random.Random(plan.seed)
+        #: invocations started so far: ``crash_at`` and the hard draws key
+        #: on the N-th invocation to start, while ``invocation_count`` only
+        #: moves when one ends
+        self.started = 0
         #: injected fault counts by kind, for survival reports
         self.injected: dict[str, int] = {
             "transient": 0,
@@ -204,19 +208,17 @@ class FaultyExecutable(Executable):
             "crash": 0,
         }
 
-    def run(self, db: Database, timeout: Optional[float] = None) -> Result:
-        self.invocation_count += 1
-        if self.plan.crash_at is not None and self.invocation_count == self.plan.crash_at:
-            raise InjectedCrashError(
-                f"injected crash at invocation {self.invocation_count}"
-            )
-        if self.invocation_count > self.plan.activate_after:
+    def _execute(self, db: Database, timeout: Optional[float]) -> Result:
+        with self._counter_lock:
+            self.started += 1
+            started = self.started
+        if self.plan.crash_at is not None and started == self.plan.crash_at:
+            raise InjectedCrashError(f"injected crash at invocation {started}")
+        if started > self.plan.activate_after:
             # Inside an isolation worker the supervisor ships its global
             # ordinal; in-process, the local count is the same sequence.
             ordinal = getattr(self, "invocation_ordinal", None)
-            hard = self.plan.draw_hard(
-                ordinal if ordinal is not None else self.invocation_count
-            )
+            hard = self.plan.draw_hard(ordinal if ordinal is not None else started)
             if hard == "crash":
                 self.injected["crash"] += 1
                 import os
@@ -232,25 +234,25 @@ class FaultyExecutable(Executable):
                     pass
                 raise ExecutableTimeoutError(
                     f"injected hang outlived its {self.plan.hang_seconds}s "
-                    f"bound (invocation {self.invocation_count})"
+                    f"bound (invocation {started})"
                 )
         kind = None
-        if self.invocation_count > self.plan.activate_after:
+        if started > self.plan.activate_after:
             kind = self.plan.draw(self._rng)
         if kind == "transient":
             self.injected["transient"] += 1
             raise TransientExecutableError(
-                f"injected transient fault (invocation {self.invocation_count})"
+                f"injected transient fault (invocation {started})"
             )
         if kind == "timeout":
             self.injected["timeout"] += 1
             raise ExecutableTimeoutError(
-                f"injected timeout (invocation {self.invocation_count})"
+                f"injected timeout (invocation {started})"
             )
         if kind == "latency":
             self.injected["latency"] += 1
             time.sleep(self.plan.latency_seconds)
-        result = self.inner.run(db, timeout=timeout)
+        result = self.inner._execute(db, timeout)
         if kind == "empty":
             self.injected["empty"] += 1
             return Result(result.columns, [])

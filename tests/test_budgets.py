@@ -10,10 +10,11 @@ from repro.apps.executable import SQLExecutable
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import UnmasqueExtractor
 from repro.datagen import tpch
+from repro.engine.parser import parse_select
 from repro.errors import BudgetExhausted
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience.budgets import BudgetSpec, ResourceBudget
-from repro.workloads import tpch_queries
+from repro.workloads import build_instance, find_query, tpch_queries
 
 QUERY = tpch_queries.QUERIES["Q6"].sql
 
@@ -47,20 +48,6 @@ class TestResourceBudget:
         assert exc.value.limit == 3
         assert exc.value.used == 4
         assert budget.exhausted is exc.value
-
-    def test_module_invocation_limit_is_per_module(self):
-        budget = ResourceBudget(BudgetSpec(max_module_invocations=2))
-        budget.set_module("filters")
-        budget.charge_invocation()
-        budget.charge_invocation()
-        budget.set_module("joins")  # fresh per-module counter
-        budget.charge_invocation()
-        budget.charge_invocation()
-        budget.set_module("filters")
-        with pytest.raises(BudgetExhausted) as exc:
-            budget.charge_invocation()
-        assert exc.value.resource == "module_invocations"
-        assert exc.value.module == "filters"
 
     def test_rows_scanned_and_cells(self):
         budget = ResourceBudget(BudgetSpec(max_rows_scanned=100, max_cells=10))
@@ -191,3 +178,35 @@ class TestBudgetedExtraction:
         assert budgeted.budget["invocations"] == budgeted.stats.total_invocations
         assert budgeted.budget["rows_scanned"] > 0
         assert budgeted.budget["cells_materialized"] > 0
+
+
+class TestBudgetStoppedSql:
+    @pytest.mark.parametrize(
+        "workload, name, scale, budget",
+        [("tpch", "Q6", 0.0005, 25), ("having", "H1_count", 0.002, 20)],
+    )
+    def test_run_stopped_before_any_output_emits_no_sql(
+        self, workload, name, scale, budget
+    ):
+        config = ExtractionConfig(
+            extract_having=workload == "having",
+            budget_invocations=budget,
+            fail_fast=False,
+        )
+        app = SQLExecutable(find_query(workload, name).sql, obfuscate_text=True)
+        db = build_instance(workload, scale, 7)
+        outcome = UnmasqueExtractor(db, app, config).extract()
+        assert outcome.verdict == "budget_exhausted"
+        assert not outcome.query.outputs
+        assert outcome.sql == ""
+
+    def test_every_budget_stopped_sql_parses(self, budget_tpch_db):
+        verdicts = set()
+        for budget in range(5, 100, 8):
+            config = ExtractionConfig(budget_invocations=budget, fail_fast=False)
+            app = SQLExecutable(QUERY, obfuscate_text=True)
+            outcome = UnmasqueExtractor(budget_tpch_db, app, config).extract()
+            verdicts.add(outcome.verdict)
+            if outcome.sql:
+                parse_select(outcome.sql)
+        assert "budget_exhausted" in verdicts

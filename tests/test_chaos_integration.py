@@ -94,6 +94,24 @@ class TestChaosSurvival:
         assert app_first.injected == app_second.injected
         assert first.stats.retries == second.stats.retries
 
+    @pytest.mark.parametrize("isolate", ["none", "process"])
+    def test_injected_faults_reach_the_invocation_ledger(self, tiny_tpch_db, isolate):
+        """An attempt aborted by an injected fault is an invocation like any
+        other: every counter of it agrees, in-process and isolated."""
+        sql = tpch_queries.QUERIES["Q6"].sql
+        plan = FAULT_PROFILES["transient"].with_seed(CHAOS_SEED)
+        metrics = MetricsRegistry()
+        tracer = Tracer(metrics=metrics, keep_spans=False)
+        chaotic, app = chaos_extract(
+            tiny_tpch_db, sql, plan, tracer=tracer, isolate=isolate
+        )
+
+        assert app.injected["transient"] > 0
+        total = chaotic.stats.total_invocations
+        assert metrics.counter("invocations_total").value == total
+        assert metrics.histogram("invocation_latency_seconds").count == total
+        assert app.invocation_count == total
+
     def test_total_outage_still_fails(self, tpch_db):
         """Retry is not magic: a hard outage exhausts attempts and raises."""
         sql = tpch_queries.QUERIES["Q4"].sql

@@ -147,28 +147,16 @@ class TestAgainstOneTablePerProbe:
         assert extract_tables(session_for(star_db, app)) == expected
 
 
-class TestTraceStrategy:
-    def test_trace_identifies_imperative_tables(self, tiny_tpch_db):
+class TestImperativeApplication:
+    def test_rename_identifies_imperative_tables(self, tiny_tpch_db):
         def logic(db):
             nations = {row["n_nationkey"]: row["n_name"] for row in db.scan("nation")}
             count = sum(1 for row in db.scan("supplier") if row["s_nationkey"] in nations)
             return Result(["n"], [(count,)])
 
-        app = ImperativeExecutable(logic)
-        session = session_for(tiny_tpch_db, app, from_clause_strategy="trace")
+        session = session_for(tiny_tpch_db, ImperativeExecutable(logic))
         assert extract_tables(session) == ["nation", "supplier"]
-
-    def test_trace_disabled_after_run(self, tiny_tpch_db):
-        app = SQLExecutable("select count(*) from region")
-        session = session_for(tiny_tpch_db, app, from_clause_strategy="trace")
-        extract_tables(session)
-        assert session.silo.trace_access is False
-
-    def test_unknown_strategy_rejected(self, tiny_tpch_db):
-        app = SQLExecutable("select count(*) from region")
-        session = session_for(tiny_tpch_db, app, from_clause_strategy="magic")
-        with pytest.raises(ExtractionError):
-            extract_tables(session)
+        assert from_clause_invocations(session) == 3
 
 
 class TestSessionBookkeeping:

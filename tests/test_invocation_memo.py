@@ -59,19 +59,13 @@ class TestMemoProvenance:
 
 
 class TestMemoKeying:
-    def test_bypass_and_trace_access_runs_record_no_fingerprint(self, q6_db):
+    def test_bypass_runs_record_no_fingerprint(self, q6_db):
         db = q6_db.clone()
         app = SQLExecutable("select count(*) from nation")
         app.memo = InvocationMemo(max_rows=0)
         app.run(db)
         assert db.last_invocation == {"cached": False, "fingerprint": ""}
         assert app.memo.stats()["bypasses"] == 1
-
-        app.memo = InvocationMemo()
-        db.trace_access = True
-        app.run(db)
-        assert db.last_invocation == {"cached": False, "fingerprint": ""}
-        assert app.memo.stats()["misses"] == 0
 
     def test_repeat_state_is_a_hit_with_the_same_fingerprint(self, q6_db):
         db = q6_db.clone()

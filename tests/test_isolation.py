@@ -671,17 +671,6 @@ class TestIsolatedExtraction:
         )
         assert extractor.session.backend.pool.closed
 
-    def test_isolated_trace_strategy_mirrors_access_log(self, tpch_db):
-        config = ExtractionConfig(
-            isolate="process",
-            from_clause_strategy="trace",
-            run_checker=False,
-        )
-        outcome = UnmasqueExtractor(
-            tpch_db, SQLExecutable(self.SQL), config
-        ).extract()
-        assert list(outcome.query.tables) == ["lineitem"]
-
     def test_quarantined_best_effort_verdict(self, tpch_db):
         config = ExtractionConfig(
             isolate="process",

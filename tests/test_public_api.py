@@ -32,7 +32,6 @@ class TestPublicSurface:
     def test_config_is_dataclass_with_defaults(self):
         config = repro.ExtractionConfig()
         assert config.halving_policy == "largest"
-        assert config.limit_ratio == 10
         assert config.extract_having is False
         assert config.extract_disjunctions is False
         assert config.extract_null_predicates is False

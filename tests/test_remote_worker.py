@@ -285,6 +285,25 @@ class TestTransportSecurity:
             worker_agent.stop()
 
 
+class TestProtocolGeneration:
+    def test_agent_of_another_generation_is_refused(
+        self, agent, tpch_db, monkeypatch
+    ):
+        # an agent of the previous release still answers protocol 2
+        monkeypatch.setattr("repro.isolation.agent.AGENT_PROTOCOL", 2)
+        registry = PeerHealthRegistry()
+        pool = make_pool(agent, registry=registry, max_reconnects=2)
+        try:
+            with pytest.raises(PeerQuarantined) as exc:
+                pool.invoke(tpch_db, timeout=5.0)
+        finally:
+            pool.close()
+        assert "speaks protocol 2; this supervisor speaks protocol 3" in str(
+            exc.value
+        )
+        assert registry.snapshot()[agent.address]["state"] == "down"
+
+
 class TestAgentRequestValidation:
     def test_init_without_executable_is_a_structured_error(self, agent):
         transport = TcpTransport.connect(agent.address, timeout=2.0)

@@ -20,7 +20,7 @@ import pytest
 from repro.apps import SQLExecutable
 from repro.core import ExtractionConfig, UnmasqueExtractor, filters, groupby, projections
 from repro.core.dgen import DgenBuilder
-from repro.core.svalues import SValueError
+from repro.core.svalues import Axis, SValueError
 from repro.engine import Column, Database, IntegerType, TableSchema, VarcharType
 from repro.workloads import having_queries, random_queries
 
@@ -56,7 +56,7 @@ def _reference_extremes(session, columns):
             populated_min = filters._text_probe(session, column, "")
             populated_max = populated_min and filters._text_probe(session, column, "a")
         else:
-            axis = filters._Axis(session, column)
+            axis = Axis.of(session, column)
             populated_min = filters._numeric_probe(session, column, axis, axis.lo)
             populated_max = filters._numeric_probe(session, column, axis, axis.hi)
         if not (populated_min and populated_max):
