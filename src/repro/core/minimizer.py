@@ -65,7 +65,7 @@ def _sampling_prepass(session: ExtractionSession) -> None:
             sample = session.silo.sample_rows(
                 table, count, seed=session.rng.randrange(2**31)
             )
-            session.silo.replace_rows(table, sample)
+            session.silo.install_rows(table, sample)
             if not session.run().is_effectively_empty:
                 session.provenance.mutation(
                     "sampler",
@@ -73,7 +73,7 @@ def _sampling_prepass(session: ExtractionSession) -> None:
                     detail=f"kept a {count}-row sample of {size} rows",
                 )
                 break
-            session.silo.replace_rows(table, original_rows)
+            session.silo.install_rows(table, original_rows)
 
 
 def _halve_to_single_rows(session: ExtractionSession) -> dict[str, tuple]:
@@ -136,15 +136,15 @@ def minimize_multirow(session: ExtractionSession) -> dict[str, list[tuple]]:
                 break
             table = max(candidates, key=silo.row_count)
             first, second = silo.table(table).halves()
-            silo.replace_rows(table, first)
+            silo.install_rows(table, first)
             if not session.run().is_effectively_empty:
                 stuck.clear()
                 continue
-            silo.replace_rows(table, second)
+            silo.install_rows(table, second)
             if not session.run().is_effectively_empty:
                 stuck.clear()
                 continue
-            silo.replace_rows(table, first + second)
+            silo.install_rows(table, first + second)
             stuck.add(table)
 
         for table in session.query.tables:
@@ -184,7 +184,7 @@ def _eliminate_rows(session: ExtractionSession, table: str) -> None:
             if not candidate:
                 start += chunk
                 continue
-            silo.replace_rows(table, candidate)
+            silo.install_rows(table, candidate)
             if not session.run().is_effectively_empty:
                 rows = candidate
                 granularity = max(2, granularity - 1)
@@ -195,7 +195,7 @@ def _eliminate_rows(session: ExtractionSession, table: str) -> None:
             if chunk == 1:
                 break
             granularity = min(len(rows), granularity * 2)
-    silo.replace_rows(table, rows)
+    silo.install_rows(table, rows)
 
 
 def _next_halving(

@@ -27,7 +27,7 @@ from repro.core.config import ExtractionConfig
 from repro.core.model import ExtractedQuery
 from repro.engine.database import Database, PlanCache
 from repro.engine.result import Result
-from repro.engine.types import NumericDomain, date_to_ordinal
+from repro.engine.types import NumericDomain
 from repro.errors import DatabaseError, ExecutableTimeoutError, ExtractionError
 from repro.obs.provenance import NULL_PROVENANCE
 from repro.obs.trace import NULL_TRACER
@@ -184,7 +184,7 @@ class ProbeSurface:
                 else:
                     if prefetched is not None:
                         for table, rows in prefetched.state.items():
-                            self.silo.replace_rows(table, rows)
+                            self.silo.install_rows(table, rows)
                     result = self._invoke(timeout)
                 if self.provenance.enabled:
                     self._record_probe_event(result, None)
@@ -308,23 +308,32 @@ class ProbeSurface:
             span.tags["retries"] = span.tags.get("retries", 0) + 1
             span.set_tag("last_retried_error", type(error).__name__)
 
-    def run_on(self, rows_by_table: dict[str, list[tuple]]) -> Result:
+    def run_on(
+        self, rows_by_table: dict[str, list[tuple]], *, trusted: bool = False
+    ) -> Result:
         """Invoke the application on a transient database state.
 
         ``rows_by_table`` replaces the named tables' contents for the duration
         of the run; the sandbox restores everything afterwards, so the silo's
-        resident state (usually ``D^1``) is preserved.
+        resident state (usually ``D^1``) is preserved.  ``trusted`` rows were
+        read out of the silo's own tables and are installed without being
+        coerced again; other rows are built from values and are coerced.
         """
         with self.silo.sandbox():
             for name, rows in rows_by_table.items():
-                self._materialize(name, rows)
+                self._materialize(name, rows, trusted)
             return self.run()
 
-    def _materialize(self, table: str, rows: list[tuple]) -> None:
+    def _materialize(
+        self, table: str, rows: list[tuple], trusted: bool = False
+    ) -> None:
         """Install ``rows`` as ``table``'s silo contents, budget-charged."""
         rows = self._with_multiplier(table, rows)
         self._charge_cells(table, rows)
-        self.silo.replace_rows(table, rows)
+        if trusted:
+            self.silo.install_rows(table, rows)
+        else:
+            self.silo.replace_rows(table, rows)
 
     def _charge_cells(self, table: str, rows: list[tuple]) -> None:
         """Charge materialized synthetic cells (rows × columns) to the budget."""

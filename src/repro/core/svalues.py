@@ -21,7 +21,6 @@ from repro.core.model import (
     InListFilter,
     MultiRangeFilter,
     NullFilter,
-    NumericFilter,
     TextFilter,
 )
 from repro.core.session import ExtractionSession

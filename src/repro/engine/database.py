@@ -31,7 +31,6 @@ from repro.engine.sqlast import (
     Delete,
     DropTable,
     Insert,
-    Literal,
     RenameTable,
     SelectStatement,
     Update,
@@ -51,7 +50,6 @@ from repro.engine.types import (
 from repro.errors import (
     DatabaseError,
     ExecutableTimeoutError,
-    ExecutionError,
     UndefinedTableError,
 )
 
@@ -433,6 +431,12 @@ class Database:
 
     def replace_rows(self, name: str, rows: Iterable[Sequence]) -> None:
         self.table(name).replace_all(rows)
+
+    def install_rows(self, name: str, rows: Iterable[tuple]) -> None:
+        """Replace a table's rows with rows read from a table of the same
+        schema, without coercing them again (see
+        :meth:`~repro.engine.storage.TableData.install`)."""
+        self.table(name).install(rows)
 
     def clear_table(self, name: str) -> None:
         self.table(name).clear()

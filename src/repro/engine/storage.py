@@ -15,6 +15,15 @@ the extraction pipeline takes a snapshot around every invocation, and
 Because a shared list never changes again, its content digest can be computed
 once and kept on the list itself (:class:`FrozenRows`, :func:`rows_digest`):
 a database fingerprint then hashes only the tables whose list is new.
+
+Every stored row is in storage form: each value has already passed its
+column type's ``coerce``, so coercing the row again returns an equal row of
+the same types.  Values that come from outside a table — a generator, SQL
+DML, a synthetic row — enter through :meth:`TableData.coerce_row` once
+(``insert``, ``replace_all``, ``update_where``, ``set_column``,
+``map_column``).  Rows read out of a table and moved to a table of the same
+schema (the minimizer's samples and halves, a shipped worker replica) enter
+through :meth:`TableData.install`, which trusts them and coerces nothing.
 """
 
 from __future__ import annotations
@@ -145,6 +154,14 @@ class TableData:
 
     def replace_all(self, rows: Iterable[Sequence]) -> None:
         self._rebind(FrozenRows(map(self.coerce_row, rows)))
+
+    def install(self, rows: Iterable[tuple]) -> None:
+        """Replace the contents with rows already in this table's storage form.
+
+        The trusted counterpart of :meth:`replace_all`: nothing is coerced,
+        so ``rows`` must have been read out of a table with this schema.
+        """
+        self._rebind(FrozenRows(rows))
 
     def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
         kept = FrozenRows(row for row in self._rows if not predicate(row))

@@ -7,6 +7,12 @@ the worker reconciles its replica, runs the executable inside a
 ``db.sandbox()`` (so application DML rolls back and the replica stays exactly
 "the shipped state"), and replies with the result or the raised exception.
 
+Reconciling installs the shipped rows as they arrive, without coercing them:
+they were read out of the supervisor's own tables, whose schema travels with
+them, so they are already in storage form.  The worker trusts them exactly
+as far as it trusts the frame that carries them — it unpickles that frame
+anyway, and over TCP only after its HMAC checks out.
+
 Hostile-application containment is split between the two processes:
 
 * the *worker* applies ``RLIMIT_AS`` before touching any request, so a
@@ -91,7 +97,11 @@ def _maxrss_bytes() -> int:
 
 
 def _reconcile(db: Database, deltas: dict, dropped: list) -> None:
-    """Apply the supervisor's table deltas to the resident replica."""
+    """Apply the supervisor's table deltas to the resident replica.
+
+    The shipped rows come straight from the supervisor's tables of the
+    shipped schema, so they are installed as is rather than coerced again.
+    """
     for name in dropped:
         db.drop_table(name)
     for name, payload in deltas.items():
@@ -102,7 +112,7 @@ def _reconcile(db: Database, deltas: dict, dropped: list) -> None:
                 db.create_table(schema)
         else:
             db.create_table(schema)
-        db.replace_rows(name, payload["rows"])
+        db.install_rows(name, payload["rows"])
 
 
 def _run_once(db: Database, executable, message: dict) -> dict:

@@ -345,7 +345,9 @@ class ProbeScheduler:
         fallback)``: the candidate rows replace the table, a populated run
         keeps them, an effectively-empty one keeps the fallback (no
         confirming run — §4.2's Lemma 1).  Returns the final state with the
-        silo's tables left holding it.
+        silo's tables left holding it.  Every state's rows were read out of
+        the silo's table of the same name, so they are installed
+        (:meth:`~repro.engine.storage.TableData.install`), not coerced again.
 
         Speculation is used only when every gate holds: ``jobs > 1``, the
         caller allows it (``speculate`` — RNG-consuming pick policies must
@@ -365,9 +367,9 @@ class ProbeScheduler:
         if not can_speculate:
             while (probe := pick_probe(state)) is not None:
                 table, candidate, fallback = probe
-                silo.replace_rows(table, candidate)
+                silo.install_rows(table, candidate)
                 if session.run().is_effectively_empty:
-                    silo.replace_rows(table, fallback)
+                    silo.install_rows(table, fallback)
                     state[table] = fallback
                 else:
                     state[table] = candidate
@@ -404,7 +406,7 @@ class ProbeScheduler:
             if collector is not None:
                 db.budget = collector
             for table, rows in probe_state.items():
-                db.replace_rows(table, rows)
+                db.install_rows(table, rows)
             db_rows = db.total_rows()
             # evidence fingerprinting mirrors the memo's cost bound: tiny
             # probe states only, and only when someone is recording
@@ -536,5 +538,5 @@ class ProbeScheduler:
         _discard(node.on_populated)
         _discard(node.on_empty)
         for table in state:
-            silo.replace_rows(table, state[table])
+            silo.install_rows(table, state[table])
         return state
