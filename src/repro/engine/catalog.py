@@ -103,6 +103,26 @@ class TableSchema:
     def renamed(self, new_name: str) -> "TableSchema":
         return replace(self, name=new_name)
 
+    def signature(self) -> bytes:
+        """``|name:type`` per column, the bytes content fingerprints hash.
+
+        Computed once per schema and kept out of its pickled state, so
+        neither equality nor the pickled form of a schema changes.
+        """
+        signature = self.__dict__.get("_signature")
+        if signature is None:
+            signature = "".join(
+                f"|{column.name}:{column.type!r}" for column in self.columns
+            ).encode()
+            object.__setattr__(self, "_signature", signature)
+        return signature
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_signature" in state:
+            state = {key: value for key, value in state.items() if key != "_signature"}
+        return state
+
 
 class Catalog:
     """Mutable collection of table schemas with rename support.

@@ -141,8 +141,7 @@ def _content_fingerprint(
     digest = hashlib.sha256()
     for name in sorted(schemas):
         digest.update(name.encode())
-        for column in schemas[name].columns:
-            digest.update(f"|{column.name}:{column.type!r}".encode())
+        digest.update(schemas[name].signature())
         digest.update(b"#")
         digest.update(rows_digest(rows[name]))
         digest.update(b"@")
@@ -188,8 +187,7 @@ def _catalog_digest(catalog: Catalog) -> str:
     for name in sorted(catalog.table_names, key=str.lower):
         schema = catalog.get(name)
         digest.update(name.lower().encode())
-        for column in schema.columns:
-            digest.update(f"|{column.name}:{column.type!r}".encode())
+        digest.update(schema.signature())
         digest.update(f"#pk:{schema.primary_key}".encode())
         digest.update(f"#fk:{schema.foreign_keys}".encode())
         digest.update(b"@")

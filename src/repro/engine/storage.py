@@ -22,8 +22,10 @@ the same types.  Values that come from outside a table — a generator, SQL
 DML, a synthetic row — enter through :meth:`TableData.coerce_row` once
 (``insert``, ``replace_all``, ``update_where``, ``set_column``,
 ``map_column``).  Rows read out of a table and moved to a table of the same
-schema (the minimizer's samples and halves, a shipped worker replica) enter
-through :meth:`TableData.install`, which trusts them and coerces nothing.
+schema (the minimizer's samples and halves) enter through
+:meth:`TableData.install`, which trusts them and coerces nothing.  An
+isolation worker's tables adopt the frozen lists it was shipped
+(:meth:`TableData.adopt_rows`), as a restore adopts a snapshot's.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ class TableData:
         return self._rows
 
     def adopt_rows(self, rows: list[tuple]) -> None:
-        """Install a snapshot's row list (restore path).
+        """Install a snapshot's row list (restore path, and an isolation
+        worker's held lists).
 
         The list stays owned by the snapshot too, so it is adopted in shared
         mode — the same snapshot token can be restored any number of times.

@@ -36,11 +36,21 @@ Message shapes (plain dicts, ``cmd`` / reply keyed):
              bytes so an unpicklable/broken spec surfaces as a structured
              ``init`` error instead of a dead worker.  Accepted at any time;
              the worker starts an empty replica with it.
-``run``      ``{cmd, ordinal, timeout, deltas, dropped}`` —
-             ``deltas`` maps table name to ``{"schema": TableSchema,
-             "rows": [tuple, ...]}`` for every table whose contents changed
-             since the last ship; ``dropped`` lists names that no longer
-             exist (renames are a drop plus a delta).
+``run``      ``{cmd, ordinal, timeout, reset, schemas, rows, tables,
+             dropped, release}`` — the worker holds row lists and schemas
+             under integer *references* the supervisor assigns, and the
+             frame names what the worker already holds instead of shipping
+             it again.  ``reset`` drops the whole replica and every held
+             object first.  ``schemas`` maps a new reference to a
+             ``TableSchema``; ``rows`` maps a new reference to a row list,
+             either by value (``[tuple, ...]``) or as ``(ref, start,
+             stop)``, the run ``[start:stop]`` of a held list.  ``tables``
+             maps the name of every table whose state changed to its
+             ``(schema ref, rows ref)``; ``dropped`` lists names that no
+             longer exist (renames are a drop plus a table); ``release``
+             lists references the worker no longer needs to hold.  A frame
+             naming a reference the worker does not hold is a desync: the
+             worker exits with :data:`EXIT_PROTOCOL` without replying.
 ``park``     ``{cmd}`` — no reply; drop the executable and the replica and
              idle until the next ``init`` (a worker kept between pools).
 ``shutdown`` ``{cmd}`` — polite exit; the supervisor escalates to SIGKILL.
@@ -67,7 +77,7 @@ from typing import BinaryIO, Optional
 #: protocol generation an agent names in its hello reply; a supervisor
 #: refuses to run against an agent speaking a different one, whose frames
 #: it cannot trust to have the same keys
-AGENT_PROTOCOL = 3
+AGENT_PROTOCOL = 4
 
 #: frame header: unsigned 64-bit big-endian payload length
 _HEADER = struct.Struct(">Q")
@@ -101,7 +111,8 @@ MAX_FRAME_BYTES = 1 << 31
 #: loudly instead of attempting a reply)
 EXIT_MEMORY = 17
 
-#: worker exit status for a protocol-level failure (unreadable frame)
+#: worker exit status for a protocol-level failure (an unreadable frame, or
+#: one naming a reference the worker does not hold)
 EXIT_PROTOCOL = 18
 
 

@@ -50,7 +50,12 @@ from repro.isolation.protocol import (
     TcpTransport,
     TransportTimeout,
 )
-from repro.isolation.supervisor import _SPAWN_TIMEOUT, HardTimeout, WorkerDied
+from repro.isolation.supervisor import (
+    _SPAWN_TIMEOUT,
+    HardTimeout,
+    ShipLedger,
+    WorkerDied,
+)
 
 #: transport exceptions that mean "this connection is no longer usable"
 _CONNECTION_ERRORS = (EOFError, ProtocolError, ConnectionError, OSError)
@@ -265,8 +270,8 @@ class RemoteWorkerHandle:
         #: replies dropped by the fencing reader on this handle
         self.fenced_replies = 0
         self._duplicates_seen = 0
-        #: table → (schema, shipped row-list reference) for delta shipping
-        self.shipped: dict = {}
+        #: what the agent's worker holds (see the supervisor's ShipLedger)
+        self.ledger = ShipLedger()
         self.last_injected: dict = {}
         self.suspect = False
         self.reconnect_failures = 0
@@ -384,10 +389,14 @@ class RemoteWorkerHandle:
         The transport may still deliver the old reply later; the epoch bump
         guarantees the fencing reader drops it.  Keeping the connection open
         is deliberate — a straggler is cheaper to keep than to re-dial, and
-        the late reply arriving at all proves the link works.
+        the late reply arriving at all proves the link works.  The worker
+        may or may not have applied the abandoned frame, so the ship ledger
+        starts over: the next frame resets the worker's replica and ships
+        it in full.
         """
         self.epoch += 1
         self.suspect = True
+        self.ledger = ShipLedger()
 
     def mark_dead(self) -> None:
         """The connection is unusable: close it and fence the lease."""
@@ -396,7 +405,7 @@ class RemoteWorkerHandle:
         if self.transport is not None:
             self.transport.close()
             self.transport = None
-        self.shipped = {}
+        self.ledger = ShipLedger()
 
     def connect(self, executable_blob: bytes) -> None:
         """Dial, handshake, and init a fresh worker on the agent.
@@ -442,7 +451,7 @@ class RemoteWorkerHandle:
         self.suspect = False
         self.reconnect_failures = 0
         self.has_connected = True
-        self.shipped = {}
+        self.ledger = ShipLedger()
 
     def shutdown(self) -> None:
         if self.transport is not None:

@@ -36,26 +36,31 @@ everything else:
   structured refusal, not an infinite respawn loop.  A respawn is charged
   per handle: only a slot's *second* and later worker counts as a restart.
 
-State shipping is incremental: each handle remembers the exact row-list
-object last shipped per table (copy-on-write row lists are rebound on every
-mutation, so object identity is a sound change detector — and the held
-reference pins the id against reuse).  The ledger is committed only once the
-worker answers, so a request lost on the wire re-ships the same tables on
-retry.  A fresh worker starts with an empty ship-state and receives the
-full silo on its first run.
+State shipping is incremental: each handle keeps a :class:`ShipLedger` of
+the row lists and schemas its worker holds, and a ``run`` frame names what
+the worker already holds instead of shipping it again (copy-on-write row
+lists are rebound on every mutation, so object identity is a sound change
+detector — and the ledger's held reference pins the id against reuse).  The
+ledger is committed only once the worker answers, so a request lost on the
+wire re-ships the same tables on retry.  A fresh worker starts with an
+empty ledger and receives the full silo on its first run.  Slots are leased
+last in, first out, so the sequential probes of an extraction stay on the
+worker that already holds their state.
 
 Local workers can outlive their pool.  A pool built with the process-wide
 :data:`PARKED_WORKERS` stash (the isolation backend's pools are) parks each
 healthy worker at close instead of shutting it down, and the next such pool
 re-initialises it with its own executable instead of spawning.  A parked
-worker drops its replica and executable, and re-init clears the handle's
-``shipped`` ledger, so the next pool ships its silo in full and nothing of
-the previous extraction's data stays referenced on either side.
+worker drops its replica and executable, and parking and re-init clear the
+handle's ship ledger, so the next pool ships its silo in full and nothing
+of the previous extraction's data stays referenced on either side.
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
+import operator
 import os
 import queue
 import signal
@@ -172,12 +177,10 @@ class WorkerHandle:
         This is how a parked worker takes the next pool's executable (the
         worker accepts ``init`` at any time).  Everything an extraction left
         on the handle is reset: the chaos-injection counts (the worker
-        unpickles a fresh executable) and the ``shipped`` ledger (the worker
+        unpickles a fresh executable) and the ship ledger (the worker
         starts an empty replica on ``init``).
         """
-        #: table → (schema, shipped row-list reference); holding the list
-        #: object both detects changes (identity) and pins its id
-        self.shipped: dict[str, tuple] = {}
+        self.ledger = ShipLedger()
         self.last_injected: dict[str, int] = {}
         #: the worker's pid as it reported it; None while a handshake is
         #: pending
@@ -260,6 +263,7 @@ class WorkerHandle:
     def park(self) -> None:
         """Tell the worker to drop its executable and replica while idle."""
         write_frame(self.proc.stdin, {"cmd": "park"})
+        self.ledger = ShipLedger()
 
     def run(self, message: dict, deadline_seconds: float) -> dict:
         """Send one request and read its reply under a hard deadline.
@@ -547,12 +551,14 @@ class WorkerPool:
         #: one handle per slot; None until the factory first makes it ready
         self._handles: list = [None] * size
         #: slot leasing: a caller takes a slot index for the whole invocation
-        #: (blocking when all are leased), so each handle — and its
-        #: incremental ship-state — is touched by one thread at a time.  The
-        #: per-slot lock is held for the whole invocation too, so background
-        #: work (remote heartbeats) only ever touches idle slots.
-        self._slots: queue.Queue = queue.Queue()
-        for slot in range(size):
+        #: (blocking when all are leased), so each handle — and its ship
+        #: ledger — is touched by one thread at a time.  The per-slot lock is
+        #: held for the whole invocation too, so background work (remote
+        #: heartbeats) only ever touches idle slots.  Slots are leased last
+        #: in, first out: sequential callers keep the worker that already
+        #: holds their state, and a second slot serves only concurrent ones.
+        self._slots: queue.LifoQueue = queue.LifoQueue()
+        for slot in reversed(range(size)):
             self._slots.put(slot)
         self.slot_locks = [threading.Lock() for _ in range(size)]
         #: guards the pool ledger (ordinal, stats, quarantine, respawns,
@@ -672,14 +678,8 @@ class WorkerPool:
             ordinal = self.ordinal
             self.stats.invocations += 1
         effective = timeout if timeout is not None else self.spec.default_timeout
-        shipped = dict(handle.shipped)
-        message = {
-            "cmd": "run",
-            "ordinal": ordinal,
-            "timeout": timeout,
-            "deltas": _deltas(shipped, db),
-            "dropped": _dropped(shipped, db),
-        }
+        shipping, ledger = handle.ledger.frame(db)
+        message = {"cmd": "run", "ordinal": ordinal, "timeout": timeout, **shipping}
         try:
             reply = handle.run(message, effective + self.spec.kill_grace)
         except HardTimeout:
@@ -700,9 +700,9 @@ class WorkerPool:
                 self._note_abnormal(handle)
             raise WorkerCrashedError(death.kind, str(death), ordinal=ordinal) from None
         # A reply — normal or a clean application error — means the worker
-        # applied the deltas and survived the invocation: commit the ledger
+        # applied the frame and survived the invocation: commit the ledger
         # and end the crash streak.
-        handle.shipped = shipped
+        handle.ledger = ledger
         with self._lock:
             self.consecutive_abnormal = 0
             self._record_reply_stats(handle, reply)
@@ -749,22 +749,217 @@ class WorkerPool:
 # -- incremental state shipping ---------------------------------------------
 
 
-def _deltas(shipped: dict, db) -> dict:
-    deltas = {}
-    for name, schema, rows in db.table_states():
-        prev = shipped.get(name)
-        if prev is not None and prev[0] == schema and prev[1] is rows:
-            continue
-        shipped[name] = (schema, rows)
-        # a plain list pickles as one opcode; the shared FrozenRows would
-        # pickle through its reduce and add a class reference per table
-        deltas[name] = {"schema": schema, "rows": list(rows)}
-    return deltas
+class ShipLedger:
+    """The row lists and schemas one worker holds, as its last reply confirmed.
+
+    Each object the worker holds is named by a *reference*, a number drawn
+    from this ledger's own sequence (never an ``id()``, which the worker
+    could not resolve and which a later object could reuse).  The ledger
+    keeps every held object alive and maps the object's ``id`` to its
+    reference, so an identity test is a sound "the worker has this" test.
+
+    :meth:`frame` returns the shipping fields of the next ``run`` frame and
+    the ledger as it will stand once the worker applied them; the pool
+    commits that ledger only when the worker replies.  A changed table ships
+    its schema only when the worker lacks it, and its rows as:
+
+    * the reference of a held list (a rename, a restore, a replica state);
+    * ``(ref, start, stop)`` when they are a contiguous run of a held list,
+      checked element by element by identity (the minimizer's halves, the
+      monotonicity sentinel's halved instance, a restore's copy);
+    * the rows themselves otherwise.
+
+    Runs are found through the list each held list was cut from (its
+    *origin*, the last list shipped by value): one position lookup per held
+    list, not a scan of its rows.
+
+    Beyond the live tables the worker holds at most twice the replica's
+    peak table count in row lists and as many schemas, and at most its
+    peak row count in rows, so it holds at most about twice its largest
+    replica.  Empty lists are released first, then the least recently live
+    objects.  A fresh ledger's first frame tells the worker to drop whatever
+    it holds, so a ledger reset while the worker survives (a remote
+    abandon) re-ships the replica in full.
+    """
+
+    def __init__(self):
+        #: True until a frame is acknowledged: that frame resets the worker
+        self.fresh = True
+        #: shared by every ledger forked from this one, so no reference
+        #: is ever drawn twice for one worker
+        self._sequence = itertools.count(1)
+        #: reference → held row list / schema, least recently live first
+        self._lists: dict[int, list] = {}
+        self._schemas: dict[int, object] = {}
+        #: reference → (origin, offset of the held list within it)
+        self._spans: dict[int, tuple[_Origin, int]] = {}
+        #: ``id(obj)`` → reference for every held object (holding pins the id)
+        self._ids: dict[int, int] = {}
+        #: table name → (schema ref, rows ref) of the worker's replica
+        self._tables: dict[str, tuple[int, int]] = {}
+        #: the largest live row and table counts a frame has shipped: the
+        #: cap on what the worker holds beyond its live tables
+        self.peak_rows = 0
+        self.peak_tables = 0
+
+    @property
+    def references(self) -> set[int]:
+        """The references the worker holds once this ledger's frames are
+        applied."""
+        return set(self._lists) | set(self._schemas)
+
+    def frame(self, db) -> tuple[dict, "ShipLedger"]:
+        """The ``run`` frame's shipping fields for ``db``'s state, and the
+        ledger that holds once the worker applied them."""
+        after = self._fork()
+        schemas: dict[int, object] = {}
+        rows: dict[int, object] = {}
+        tables: dict[str, tuple[int, int]] = {}
+        live_rows = 0
+        live: set[str] = set()
+        for name, schema, table_rows in db.table_states():
+            live.add(name)
+            live_rows += len(table_rows)
+            previous = after._tables.get(name)
+            sref = after._ids.get(id(schema))
+            rref = after._ids.get(id(table_rows))
+            if previous == (sref, rref):
+                continue
+            if sref is None:
+                sref = after._hold(after._schemas, schema)
+                schemas[sref] = schema
+            if rref is None:
+                rref, rows[rref] = after._hold_rows(table_rows)
+            if previous is not None:
+                after._touch(previous)
+            tables[name] = after._tables[name] = (sref, rref)
+        dropped = [name for name in after._tables if name not in live]
+        for name in dropped:
+            after._touch(after._tables.pop(name))
+        after.peak_rows = max(after.peak_rows, live_rows)
+        after.peak_tables = max(after.peak_tables, len(live))
+        release = after._evict() if tables or dropped else []
+        shipping = {
+            "reset": self.fresh,
+            "schemas": schemas,
+            "rows": rows,
+            "tables": tables,
+            "dropped": dropped,
+            "release": release,
+        }
+        return shipping, after
+
+    def _fork(self) -> "ShipLedger":
+        after = ShipLedger.__new__(ShipLedger)
+        after.fresh = False
+        after._sequence = self._sequence
+        after._lists = dict(self._lists)
+        after._schemas = dict(self._schemas)
+        after._spans = dict(self._spans)
+        after._ids = dict(self._ids)
+        after._tables = dict(self._tables)
+        after.peak_rows = self.peak_rows
+        after.peak_tables = self.peak_tables
+        return after
+
+    def _hold(self, store: dict, obj) -> int:
+        ref = next(self._sequence)
+        store[ref] = obj
+        self._ids[id(obj)] = ref
+        return ref
+
+    def _hold_rows(self, rows) -> tuple[int, object]:
+        """Hold a new row list; returns its reference and its payload."""
+        run = self._run_of(rows)
+        ref = self._hold(self._lists, rows)
+        if run is None:
+            self._spans[ref] = (_Origin(rows), 0)
+            # a plain list pickles as one opcode; a FrozenRows would pickle
+            # through its reduce and add a class reference
+            return ref, list(rows)
+        source, start, _ = run
+        origin, offset = self._spans[source]
+        self._spans[ref] = (origin, offset + start)
+        return ref, run
+
+    def _run_of(self, rows) -> Optional[tuple[int, int, int]]:
+        """``(ref, start, stop)`` when ``rows`` are a contiguous run of a
+        held list, the most recently live first; else None."""
+        count = len(rows)
+        if not count:
+            return None
+        first = rows[0]
+        for ref in reversed(self._lists):
+            held = self._lists[ref]
+            if len(held) < count:
+                continue
+            origin, offset = self._spans[ref]
+            position = origin.position(first)
+            if position is None:
+                continue
+            start = position - offset
+            stop = start + count
+            if (
+                0 <= start
+                and stop <= len(held)
+                and all(map(operator.is_, rows, held[start:stop]))
+            ):
+                return ref, start, stop
+        return None
+
+    def _touch(self, refs: tuple[int, int]) -> None:
+        """Mark a table's former objects as the most recently live."""
+        sref, rref = refs
+        if sref in self._schemas:
+            self._schemas[sref] = self._schemas.pop(sref)
+        if rref in self._lists:
+            self._lists[rref] = self._lists.pop(rref)
+
+    def _evict(self) -> list[int]:
+        """Release objects beyond the live tables until the bound holds;
+        returns their references."""
+        live = {ref for refs in self._tables.values() for ref in refs}
+        cap = 2 * self.peak_tables
+        release = []
+        lists = [ref for ref in self._lists if ref not in live]
+        count = len(lists)
+        rows = sum(len(self._lists[ref]) for ref in lists)
+        if count > cap or rows > self.peak_rows:
+            lists.sort(key=lambda ref: len(self._lists[ref]) > 0)  # empty first
+            for ref in lists:
+                if count <= cap and rows <= self.peak_rows:
+                    break
+                rows -= len(self._lists[ref])
+                count -= 1
+                self._release(self._lists, ref)
+                del self._spans[ref]
+                release.append(ref)
+        schemas = [ref for ref in self._schemas if ref not in live]
+        for ref in schemas[: max(0, len(schemas) - cap)]:
+            self._release(self._schemas, ref)
+            release.append(ref)
+        return release
+
+    def _release(self, store: dict, ref: int) -> None:
+        del self._ids[id(store.pop(ref))]
 
 
-def _dropped(shipped: dict, db) -> list:
-    live = {name for name, _, _ in db.table_states()}
-    dropped = [name for name in shipped if name not in live]
-    for name in dropped:
-        del shipped[name]
-    return dropped
+class _Origin:
+    """A row list shipped by value, and the position of each of its rows.
+
+    Every held list is a run of one origin, so a new list's first row is
+    looked up here once per held list instead of being searched for.  The
+    origin keeps its rows alive, so the ``id`` keys stay unique; a row that
+    appears twice maps to its last position, which only costs a missed run.
+    """
+
+    __slots__ = ("rows", "_positions")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self._positions: Optional[dict[int, int]] = None
+
+    def position(self, row) -> Optional[int]:
+        if self._positions is None:
+            self._positions = {id(item): i for i, item in enumerate(self.rows)}
+        return self._positions.get(id(row))

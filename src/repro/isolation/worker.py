@@ -1,17 +1,26 @@
 """Worker process entry point: ``python -m repro.isolation.worker``.
 
 One worker owns one resident :class:`~repro.engine.database.Database` replica
-and one reconstructed executable.  The supervisor ships table *deltas* with
-each run request (only tables whose contents changed since the last ship),
-the worker reconciles its replica, runs the executable inside a
-``db.sandbox()`` (so application DML rolls back and the replica stays exactly
-"the shipped state"), and replies with the result or the raised exception.
+and one reconstructed executable.  With each run request the supervisor
+ships the tables whose state changed since its last acknowledged frame; the
+worker reconciles its replica (:class:`Replica`), runs the executable inside
+a ``db.sandbox()`` (so application DML rolls back and the replica stays
+exactly "the shipped state"), and replies with the result or the raised
+exception.
 
-Reconciling installs the shipped rows as they arrive, without coercing them:
-they were read out of the supervisor's own tables, whose schema travels with
-them, so they are already in storage form.  The worker trusts them exactly
-as far as it trusts the frame that carries them — it unpickles that frame
-anyway, and over TCP only after its HMAC checks out.
+Row lists and schemas are held under the references the supervisor's
+:class:`~repro.isolation.supervisor.ShipLedger` assigns, so a frame names
+what the worker already holds: a rename or a restore points a table at a
+held list, and a halving ships the ``[start:stop]`` bounds of a held list.
+A held list becomes a table's rows as is, shared copy-on-write, so nothing
+is copied or coerced: the rows were read out of the supervisor's own tables,
+whose schema travels with them, so they are already in storage form.  The
+worker trusts them exactly as far as it trusts the frame that carries them —
+it unpickles that frame anyway, and over TCP only after its HMAC checks out.
+A frame naming a reference the worker does not hold means the two sides
+disagree about the replica: the worker exits with
+:data:`~repro.isolation.protocol.EXIT_PROTOCOL` instead of replying, and the
+supervisor's crash path respawns it and ships the replica in full.
 
 Hostile-application containment is split between the two processes:
 
@@ -40,12 +49,14 @@ inits it passes through (``repro.isolation``, ``repro.obs``,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
 from typing import Optional
 
 from repro.engine.database import Database
+from repro.engine.storage import FrozenRows
 from repro.isolation.protocol import (
     EXIT_MEMORY,
     EXIT_PROTOCOL,
@@ -96,27 +107,61 @@ def _maxrss_bytes() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _reconcile(db: Database, deltas: dict, dropped: list) -> None:
-    """Apply the supervisor's table deltas to the resident replica.
+class Desync(Exception):
+    """A frame named a reference this worker does not hold."""
 
-    The shipped rows come straight from the supervisor's tables of the
-    shipped schema, so they are installed as is rather than coerced again.
-    """
-    for name in dropped:
-        db.drop_table(name)
-    for name, payload in deltas.items():
-        schema = payload["schema"]
-        if name in (existing.lower() for existing in db.table_names):
-            if db.schema(name) != schema:
-                db.drop_table(name)
+
+class Replica:
+    """The resident database and the objects held under the supervisor's
+    references."""
+
+    def __init__(self):
+        self.db = Database()
+        #: reference → held row list (a FrozenRows) or TableSchema
+        self.held: dict = {}
+
+    def reconcile(self, message: dict) -> None:
+        """Apply a ``run`` frame's shipping fields to the replica.
+
+        A table existing already is found with one catalog lookup, so a
+        full ship costs O(tables).  Releases come last: a frame may slice a
+        list it also releases.
+        """
+        if message["reset"]:
+            self.db = Database()
+            self.held = {}
+        db, held = self.db, self.held
+        held.update(message["schemas"])
+        for ref, rows in message["rows"].items():
+            if type(rows) is tuple:
+                source, start, stop = rows
+                rows = itertools.islice(self._held(source), start, stop)
+            held[ref] = FrozenRows(rows)
+        for name in message["dropped"]:
+            db.drop_table(name)
+        for name, (schema_ref, rows_ref) in message["tables"].items():
+            schema = self._held(schema_ref)
+            if name in db.catalog:
+                if db.schema(name) != schema:
+                    db.drop_table(name)
+                    db.create_table(schema)
+            else:
                 db.create_table(schema)
-        else:
-            db.create_table(schema)
-        db.install_rows(name, payload["rows"])
+            db.table(name).adopt_rows(self._held(rows_ref))
+        for ref in message["release"]:
+            if held.pop(ref, None) is None:
+                raise Desync(f"release of reference {ref}, which is not held")
+
+    def _held(self, ref: int):
+        try:
+            return self.held[ref]
+        except KeyError:
+            raise Desync(f"frame names reference {ref}, which is not held") from None
 
 
-def _run_once(db: Database, executable, message: dict) -> dict:
-    _reconcile(db, message["deltas"], message["dropped"])
+def _run_once(replica: Replica, executable, message: dict) -> dict:
+    replica.reconcile(message)
+    db = replica.db
     timeout: Optional[float] = message["timeout"]
     tally = _RowsTally()
     db.budget = tally
@@ -170,7 +215,7 @@ def _portable_error(error: BaseException) -> BaseException:
 
 
 def _serve(inp, out) -> int:
-    db = Database()
+    replica = Replica()
     executable = None
     while True:
         try:
@@ -181,7 +226,7 @@ def _serve(inp, out) -> int:
         if cmd == "init":
             import pickle
 
-            db = Database()  # the supervisor ships the next silo in full
+            replica = Replica()  # the supervisor ships the next silo in full
             try:
                 executable = pickle.loads(message["executable"])
                 write_frame(out, {"ok": True, "pid": os.getpid()})
@@ -194,10 +239,10 @@ def _serve(inp, out) -> int:
                     {"ok": False, "error": RuntimeError("run before init")},
                 )
                 continue
-            write_frame(out, _run_once(db, executable, message))
+            write_frame(out, _run_once(replica, executable, message))
         elif cmd == "park":
             # idle until the next init: keep no extraction's state meanwhile
-            db = Database()
+            replica = Replica()
             executable = None
         elif cmd == "shutdown":
             write_frame(out, {"ok": True})
@@ -227,6 +272,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         os._exit(EXIT_MEMORY)
     except (BrokenPipeError, KeyboardInterrupt):
         return 0
+    except Desync as error:
+        # exit at once: a slow interpreter shutdown would race the
+        # supervisor's kill and be classified as a SIGKILL
+        sys.stderr.write(f"worker: {error}; exiting for a respawn\n")
+        sys.stderr.flush()
+        os._exit(EXIT_PROTOCOL)
     except Exception:
         import traceback
 

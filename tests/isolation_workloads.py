@@ -4,7 +4,8 @@ These live in an importable module (not a test file) because isolation
 workers reconstruct executables by reference: pickle records
 ``module.QualName``, and the worker process must be able to import it.
 Every class here is a black box that misbehaves in a specific,
-classifiable way.
+classifiable way.  :func:`invoke_on_both_slots` drives a two-slot pool
+from two concurrent callers, for the pool tests of both handle kinds.
 """
 
 from __future__ import annotations
@@ -135,3 +136,39 @@ class UnpickleFails(Executable):
 
     def _execute(self, db, timeout):
         return Result.empty()
+
+
+def invoke_on_both_slots(pool, db, timeout=None) -> list:
+    """Two concurrent invocations on a two-slot pool, one on each slot.
+
+    Slots are leased last in, first out, so serial invocations all take the
+    same slot; two callers reach both only while each holds its own.  Each
+    caller waits for the other as its handle is made ready, so both leases
+    are held at once.  Returns each caller's reply or raised error.
+    """
+    rendezvous = threading.Barrier(2, timeout=30)
+    ready = pool.factory.ready
+
+    def ready_together(handle):
+        rendezvous.wait()
+        return ready(handle)
+
+    outcomes = []
+
+    def caller():
+        try:
+            outcomes.append(pool.invoke(db, timeout))
+        except Exception as error:  # noqa: BLE001 - returned to the test
+            outcomes.append(error)
+
+    pool.factory.ready = ready_together
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(2)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        del pool.factory.ready
+    assert not any(thread.is_alive() for thread in callers)
+    return outcomes

@@ -1,6 +1,8 @@
 """Unit tests for the black-box application layer."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps import CallableExecutable, SQLExecutable
 from repro.apps.imperative import (
@@ -49,6 +51,31 @@ class TestObfuscation:
     def test_unicode_safe(self):
         text = "select 'naïve — ünïcode'"
         assert deobfuscate(obfuscate(text)) == text
+
+    def test_blobs_are_pinned(self):
+        # the keystream is sha256(key), then the digest of each block
+        text = (
+            "select l_orderkey from lineitem where l_quantity > 30"
+            " -- naïve ünïcode ✓"
+        )
+        assert obfuscate(text) == (
+            "48eb205b7f5084981bd038fb821a5170f421f3b7f20cd5315cbe736edb80015f"
+            "7c819a0add25f7d9cad279f234b401946954416000325e9b261ab13b35cc22f1"
+            "9f5e3a7ca59f7346d13f712a24"
+        )
+        assert obfuscate("", key=b"k") == ""
+        assert obfuscate("x" * 100, key=b"other-key") == (
+            "20703ba8455a6e87625f2571e9c2ae16356280096f65eae6e59e7ccfede7e3b2"
+            "98b2c0658b4620bc81d14f481934bb793b5f8f10d30eaff199a85a1ea7ec9149"
+            "ef9dd326b249cd1cf6e1ebaedc3d9859c7f0343c8123ec95b8433aaa0354d07a"
+            "c368d731"
+        )
+
+    @given(text=st.text(), key=st.binary(min_size=1, max_size=40))
+    def test_round_trip_over_random_text(self, text, key):
+        blob = obfuscate(text, key=key)
+        assert len(blob) == 2 * len(text.encode("utf-8"))
+        assert deobfuscate(blob, key=key) == text
 
 
 class TestSQLExecutable:

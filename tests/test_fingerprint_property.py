@@ -188,3 +188,31 @@ FingerprintMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=25, deadline=None
 )
 test_fingerprint_matches_reference = FingerprintMachine.TestCase
+
+
+def test_cached_schema_signatures_keep_every_digest(tpch_db):
+    """Schemas compute their column signature once; the digests built from
+    it stay byte-identical to the per-column formula (checkpoints store
+    ``di_fingerprint``), and a schema's equality and pickled form do not
+    change once its signature is cached."""
+    assert tpch_db.fingerprint() == reference_fingerprint(tpch_db)
+    assert tpch_db.snapshot().fingerprint() == reference_fingerprint(tpch_db)
+
+    catalog = hashlib.sha256()
+    for name in sorted(tpch_db.table_names, key=str.lower):
+        schema = tpch_db.schema(name)
+        catalog.update(name.lower().encode())
+        for column in schema.columns:
+            catalog.update(f"|{column.name}:{column.type!r}".encode())
+        catalog.update(f"#pk:{schema.primary_key}".encode())
+        catalog.update(f"#fk:{schema.foreign_keys}".encode())
+        catalog.update(b"@")
+    assert tpch_db.clone().catalog_digest() == catalog.hexdigest()[:16]
+
+    schema = pickle.loads(pickle.dumps(tpch_db.schema("lineitem")))
+    before = pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL)
+    schema.signature()
+    assert pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL) == before
+    assert schema == tpch_db.schema("lineitem")
+    assert hash(schema) == hash(tpch_db.schema("lineitem"))
+    assert schema.renamed("l2").signature() == schema.signature()

@@ -46,6 +46,7 @@ from tests.isolation_workloads import (
     TablePrinter,
     ThreadLeaver,
     UnpickleFails,
+    invoke_on_both_slots,
 )
 
 
@@ -143,13 +144,23 @@ class TestWorkerPool:
         assert pool.consecutive_abnormal == 0  # streak reset by the reply
 
     def test_first_worker_of_each_slot_is_not_a_restart(self, pool_factory):
-        # Serial invocations rotate through the slots; the second slot's
-        # first worker is startup, not a replacement, even though the first
-        # slot has already run an invocation.
+        # Two concurrent callers reach the second slot; its first worker is
+        # startup, not a replacement, even though the first slot has
+        # already run an invocation.
         pool = pool_factory(RowCounter(), pool_size=2)
         db = nation_db()
         assert pool.invoke(db, None)["ok"]
         assert pool.invoke(db, None)["ok"]
+        # slots are leased last in, first out: serial callers keep the
+        # worker that holds their state
+        assert [
+            handle is not None and not handle.ledger.fresh
+            for handle in pool._handles
+        ] == [True, False]
+        assert [reply["ok"] for reply in invoke_on_both_slots(pool, db)] == [
+            True,
+            True,
+        ]
         assert [handle.alive for handle in pool._handles] == [True, True]
         assert pool.stats.crashes == 0
         assert pool.stats.restarts == 0
@@ -246,6 +257,23 @@ class TestWorkerPool:
         # unchanged state ships no delta but still answers correctly
         assert pool.invoke(db, None)["result"].rows == [(2,)]
 
+    def test_desynchronised_frame_takes_the_crash_path(self, pool_factory):
+        pool = pool_factory(RowCounter())
+        db = nation_db()
+        assert pool.invoke(db, None)["ok"]
+        handle = pool._handles[0]
+        # the ledger records a frame the worker never received, so the next
+        # frame cuts a run out of a list the worker does not hold
+        db.replace_rows("nation", [(7, "FRANCE"), (8, "GERMANY")])
+        _, handle.ledger = handle.ledger.frame(db)
+        db.install_rows("nation", db.rows("nation")[:1])
+        with pytest.raises(WorkerCrashedError) as info:
+            pool.invoke(db, None)
+        assert info.value.kind == "exit-18"  # EXIT_PROTOCOL, no reply
+        # a respawned worker gets the replica by value
+        assert pool.invoke(db, None)["result"].rows == [(1,)]
+        assert pool.stats.crashes == pool.stats.restarts == 1
+
     def test_worker_dml_rolls_back_between_runs(self, pool_factory):
         pool = pool_factory(
             SQLExecutable("delete from nation where n_nationkey >= 0")
@@ -309,11 +337,9 @@ class TestConcurrentBoot:
     def test_failed_handshake_fails_every_first_lease(self, pool_factory):
         pool = pool_factory(UnpickleFails(), pool_size=2)
         db = nation_db()
-        messages = []
-        for _ in range(2):  # serial invocations rotate through both slots
-            with pytest.raises(ExtractionError) as info:
-                pool.invoke(db, None)
-            messages.append(str(info.value))
+        errors = invoke_on_both_slots(pool, db)
+        assert all(isinstance(error, ExtractionError) for error in errors)
+        messages = [str(error) for error in errors]
         assert messages[0] == messages[1]
         assert "unpickle-fails cannot be rebuilt" in messages[0]
         assert pool._handles == [None, None]
@@ -446,28 +472,36 @@ class TestWarmWorkers:
             assert first.invoke(db, None)["ok"]
         handle = first._handles[0]
         assert handle.last_injected["latency"] == 2
-        assert handle.shipped
+        assert not handle.ledger.fresh
         first.close()
+        assert handle.ledger.fresh  # parking let go of the silo's rows
 
         shipped = []
-        deltas = supervisor._deltas
+        frame = supervisor.ShipLedger.frame
 
         def spy(ledger, database):
-            result = deltas(ledger, database)
-            shipped.append(sorted(result))
-            return result
+            shipping, after = frame(ledger, database)
+            shipped.append(
+                (
+                    shipping["reset"],
+                    sorted(shipping["tables"]),
+                    [type(rows) for rows in shipping["rows"].values()],
+                )
+            )
+            return shipping, after
 
-        monkeypatch.setattr(supervisor, "_deltas", spy)
+        monkeypatch.setattr(supervisor.ShipLedger, "frame", spy)
         second = self.warm_pool(FaultyExecutable(EchoNation(), plan), stash)
         reply = second.invoke(db, None)
         assert second._handles[0] is handle
         assert handle.last_injected["latency"] == 1  # a fresh executable
         assert reply["stats"]["invocation_count"] == 1
-        # the worker started an empty replica, so the same silo ships in full
-        assert shipped == [["nation"]]
+        # the worker started an empty replica, so the same silo ships in
+        # full, by value: nothing the previous pool shipped is reused
+        assert shipped == [(True, ["nation"], [list])]
         assert len(reply["result"].rows) == 3
         handle.reinit(second.executable_blob)
-        assert handle.last_injected == {} and handle.shipped == {}
+        assert handle.last_injected == {} and handle.ledger.fresh
         second.close()
         stash.drain()
 

@@ -41,7 +41,12 @@ from repro.isolation.remote import (
 )
 from repro.isolation.supervisor import WorkerPool, WorkerSpec
 from repro.workloads import tpch_queries
-from tests.isolation_workloads import AbortOnce, BusyLooper, RowCounter
+from tests.isolation_workloads import (
+    AbortOnce,
+    BusyLooper,
+    RowCounter,
+    invoke_on_both_slots,
+)
 
 
 @pytest.fixture()
@@ -157,10 +162,11 @@ class TestRemotePoolBasics:
         try:
             pool.invoke(tpch_db, timeout=5.0)
             handle = pool._handles[0]
-            first_ship = dict(handle.shipped)
-            pool.invoke(tpch_db, timeout=5.0)
-            # unchanged db → second invocation ships no deltas
-            assert dict(handle.shipped) == first_ship
+            # unchanged db → the second invocation ships nothing
+            shipping, _ = handle.ledger.frame(tpch_db)
+            assert not shipping["reset"]
+            assert shipping["tables"] == shipping["rows"] == {}
+            assert pool.invoke(tpch_db, timeout=5.0)["ok"]
         finally:
             pool.close()
 
@@ -289,8 +295,9 @@ class TestProtocolGeneration:
     def test_agent_of_another_generation_is_refused(
         self, agent, tpch_db, monkeypatch
     ):
-        # an agent of the previous release still answers protocol 2
-        monkeypatch.setattr("repro.isolation.agent.AGENT_PROTOCOL", 2)
+        # an agent of the previous release still answers protocol 3, whose
+        # run frames shipped every changed table by value
+        monkeypatch.setattr("repro.isolation.agent.AGENT_PROTOCOL", 3)
         registry = PeerHealthRegistry()
         pool = make_pool(agent, registry=registry, max_reconnects=2)
         try:
@@ -298,7 +305,7 @@ class TestProtocolGeneration:
                 pool.invoke(tpch_db, timeout=5.0)
         finally:
             pool.close()
-        assert "speaks protocol 2; this supervisor speaks protocol 3" in str(
+        assert "speaks protocol 3; this supervisor speaks protocol 4" in str(
             exc.value
         )
         assert registry.snapshot()[agent.address]["state"] == "down"
@@ -369,8 +376,9 @@ class TestReconnectAccounting:
             pool.invoke(tpch_db, timeout=5.0)  # slot 0 connects and runs
             late = pool._handles[1]
             assert not late.has_connected
-            with late.lock:
-                pool.factory.ready(late)
+            # two concurrent callers reach the second slot
+            replies = invoke_on_both_slots(pool, tpch_db, timeout=5.0)
+            assert [reply["ok"] for reply in replies] == [True, True]
             assert late.has_connected
             assert pool.respawns == 0
             assert pool.stats.restarts == 0
